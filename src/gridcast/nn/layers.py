@@ -19,11 +19,18 @@ def _uniform_init(rng, shape, fan_in):
 
 
 class Layer:
-    """Base layer: holds params/grads dicts and optional named sublayers."""
+    """Base layer: trainable params/grads, non-trainable buffers, and named
+    sublayers.
+
+    forward(x, train=True) may cache what backward() needs; forward(x,
+    train=False) assigns no attribute. Buffers are updated in place, so the
+    dicts from named_params() and state_tensors() stay live views.
+    """
 
     def __init__(self):
         self.params = {}
         self.grads = {}
+        self.buffers = {}
         self.sublayers = []
 
     def forward(self, x, train=False):
@@ -32,32 +39,32 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
+    def walk(self, prefix=""):
+        """Yield (prefix, layer) for this layer and its descendants, depth first."""
+        yield prefix, self
+        for name, sub in self.sublayers:
+            yield from sub.walk(f"{prefix}{name}.")
+
+    def _collect(self, prefix, *attrs):
+        return {path + key: val
+                for path, layer in self.walk(prefix)
+                for attr in attrs
+                for key, val in getattr(layer, attr).items()}
+
     def named_params(self, prefix=""):
         """Flat {name: array} over this layer and its sublayers (views)."""
-        out = {}
-        for key, val in self.params.items():
-            out[prefix + key] = val
-        for name, sub in self.sublayers:
-            out.update(sub.named_params(prefix=f"{prefix}{name}."))
-        return out
+        return self._collect(prefix, "params")
 
     def named_grads(self, prefix=""):
-        out = {}
-        for key, val in self.grads.items():
-            out[prefix + key] = val
-        for name, sub in self.sublayers:
-            out.update(sub.named_grads(prefix=f"{prefix}{name}."))
-        return out
+        return self._collect(prefix, "grads")
 
     def zero_grads(self):
-        for g in self.grads.values():
+        for g in self.named_grads().values():
             g[...] = 0.0
-        for _, sub in self.sublayers:
-            sub.zero_grads()
 
     def state_tensors(self, prefix=""):
-        """Like named_params but including non-trainable state (BN stats)."""
-        return self.named_params(prefix)
+        """Like named_params but also holding the buffers (BN running stats)."""
+        return self._collect(prefix, "params", "buffers")
 
 
 class Dense(Layer):
@@ -75,7 +82,8 @@ class Dense(Layer):
     def forward(self, x, train=False):
         if x.shape[-1] != self.d_in:
             raise ShapeError(f"dense expects last axis {self.d_in}, got {x.shape}")
-        self._x = x if train else None
+        if train:
+            self._x = x
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, dy):
@@ -88,7 +96,8 @@ class Dense(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._mask = x > 0
+        if train:
+            self._mask = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, dy):
@@ -125,7 +134,8 @@ class Conv1d(Layer):
         if x.shape[1] < self.kernel:
             raise ShapeError(f"conv needs T >= {self.kernel}, got T={x.shape[1]}")
         cols = self._cols(x)
-        self._cols_cache = cols if train else None
+        if train:
+            self._cols_cache = cols
         b, t = x.shape[:2]
         wf = self.params["W"].reshape(self.kernel * self.c_in, self.c_out)
         y = cols.reshape(b * t, -1) @ wf + self.params["b"]
@@ -162,24 +172,23 @@ class BatchNorm1d(Layer):
             "beta": np.zeros(channels),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.buffers = {"running_mean": np.zeros(channels), "running_var": np.ones(channels)}
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[2] != self.channels:
             raise ShapeError(f"batchnorm expects (B, T, {self.channels}), got {x.shape}")
+        run_mean, run_var = self.buffers["running_mean"], self.buffers["running_var"]
         if train:
             mu = x.mean(axis=(0, 1))
             var = x.var(axis=(0, 1))
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            run_mean[...] = self.momentum * run_mean + (1 - self.momentum) * mu
+            run_var[...] = self.momentum * run_var + (1 - self.momentum) * var
             inv = 1.0 / np.sqrt(var + self.eps)
             xhat = (x - mu) * inv
             self._cache = (xhat, inv, x.shape[0] * x.shape[1])
         else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv
-            self._cache = None
+            inv = 1.0 / np.sqrt(run_var + self.eps)
+            xhat = (x - run_mean) * inv
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dy):
@@ -191,12 +200,6 @@ class BatchNorm1d(Layer):
         sum_dxhat = dxhat.sum(axis=(0, 1))
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1))
         return inv / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-
-    def state_tensors(self, prefix=""):
-        out = self.named_params(prefix)
-        out[prefix + "running_mean"] = self.running_mean
-        out[prefix + "running_var"] = self.running_var
-        return out
 
 
 class MaxPool1d(Layer):
@@ -211,8 +214,9 @@ class MaxPool1d(Layer):
             raise ShapeError(f"maxpool needs T >= 2, got T={t}")
         th = t // 2
         pairs = x[:, : 2 * th, :].reshape(b, th, 2, c)
-        self._idx = pairs.argmax(axis=2) if train else None
-        self._in_shape = x.shape
+        if train:
+            self._idx = pairs.argmax(axis=2)
+            self._in_shape = x.shape
         return pairs.max(axis=2)
 
     def backward(self, dy):
@@ -229,7 +233,8 @@ class GlobalAvgPool(Layer):
     """(B, T, C) -> (B, C) mean over time."""
 
     def forward(self, x, train=False):
-        self._t = x.shape[1]
+        if train:
+            self._t = x.shape[1]
         return x.mean(axis=1)
 
     def backward(self, dy):
@@ -247,17 +252,14 @@ class Dropout(Layer):
         self.rng = rng
 
     def forward(self, x, train=False):
-        if not train or self.rate == 0.0:
-            self._mask = None
+        if not train:
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._mask = (self.rng.random(x.shape) < keep) / keep if self.rate else None
+        return x if self._mask is None else x * self._mask
 
     def backward(self, dy):
-        if self._mask is None:
-            return dy
-        return dy * self._mask
+        return dy if self._mask is None else dy * self._mask
 
 
 def positional_encoding(t, d_model):
@@ -307,7 +309,8 @@ class LayerNorm(Layer):
         var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv
-        self._cache = (xhat, inv)
+        if train:
+            self._cache = (xhat, inv)
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dy):
@@ -335,6 +338,7 @@ class MultiHeadSelfAttention(Layer):
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
+        self.scale = 1.0 / np.sqrt(self.d_k)
         self.params = {}
         for name in ("Wq", "Wk", "Wv", "Wo"):
             self.params[name] = _uniform_init(rng, (d_model, d_model), d_model)
@@ -350,25 +354,32 @@ class MultiHeadSelfAttention(Layer):
         b, h, t, dk = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
-    def forward(self, x, train=False):
+    def _attend(self, x):
+        """Per-head (q, k, v, softmax weights) for x; stores nothing."""
         if x.ndim != 3 or x.shape[2] != self.d_model:
             raise ShapeError(f"attention expects (B, T, {self.d_model}), got {x.shape}")
         p = self.params
         q = self._split(x @ p["Wq"] + p["bq"])
         k = self._split(x @ p["Wk"] + p["bk"])
         v = self._split(x @ p["Wv"] + p["bv"])
-        scale = 1.0 / np.sqrt(self.d_k)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale
+        scores = q @ k.transpose(0, 1, 3, 2) * self.scale
         scores -= scores.max(axis=-1, keepdims=True)
         expn = np.exp(scores)
-        attn = expn / expn.sum(axis=-1, keepdims=True)
+        return q, k, v, expn / expn.sum(axis=-1, keepdims=True)
+
+    def attention_weights(self, x):
+        """Row-softmax attention weights, shape (B, n_heads, T, T)."""
+        return self._attend(x)[3]
+
+    def forward(self, x, train=False):
+        q, k, v, attn = self._attend(x)
         ctx = self._merge(attn @ v)
-        self._cache = (x, q, k, v, attn, ctx, scale)
-        self.last_attention = attn
-        return ctx @ p["Wo"] + p["bo"]
+        if train:
+            self._cache = (x, q, k, v, attn, ctx)
+        return ctx @ self.params["Wo"] + self.params["bo"]
 
     def backward(self, dy):
-        x, q, k, v, attn, ctx, scale = self._cache
+        x, q, k, v, attn, ctx = self._cache
         p = self.params
         b, t, _ = dy.shape
         dy2 = dy.reshape(b * t, self.d_model)
@@ -379,8 +390,8 @@ class MultiHeadSelfAttention(Layer):
         dv = attn.transpose(0, 1, 3, 2) @ dctx
         # softmax backward: dS = A * (dA - sum(dA * A))
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = dscores @ k * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+        dq = dscores @ k * self.scale
+        dk = dscores.transpose(0, 1, 3, 2) @ q * self.scale
         dx = np.zeros_like(x)
         x2 = x.reshape(b * t, self.d_model)
         for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
@@ -408,22 +419,27 @@ class Sequential(Layer):
             dy = layer.backward(dy)
         return dy
 
-    def state_tensors(self, prefix=""):
-        out = {}
-        for name, sub in self.sublayers:
-            out.update(sub.state_tensors(prefix=f"{prefix}{name}."))
-        return out
+
+class Residual(Sequential):
+    """Skip connection around a chain: y = x + chain(x)."""
+
+    def forward(self, x, train=False):
+        return x + super().forward(x, train)
+
+    def backward(self, dy):
+        return dy + super().backward(dy)
 
 
 class ConvBlock(Sequential):
-    """Conv1d -> (BatchNorm) -> ReLU -> MaxPool(2, 2). Halves the length."""
+    """Conv1d -> BatchNorm1d -> ReLU -> MaxPool(2, 2). Halves the length."""
 
-    def __init__(self, c_in, filters, kernel, rng, batchnorm=True):
-        layers = [("conv", Conv1d(c_in, filters, kernel, rng))]
-        if batchnorm:
-            layers.append(("bn", BatchNorm1d(filters)))
-        layers += [("relu", ReLU()), ("pool", MaxPool1d())]
-        super().__init__(layers)
+    def __init__(self, c_in, filters, kernel, rng):
+        super().__init__([
+            ("conv", Conv1d(c_in, filters, kernel, rng)),
+            ("bn", BatchNorm1d(filters)),
+            ("relu", ReLU()),
+            ("pool", MaxPool1d()),
+        ])
 
 
 class EncoderBlock(Sequential):
@@ -434,33 +450,14 @@ class EncoderBlock(Sequential):
     """
 
     def __init__(self, d_model, n_heads, ff_dim, dropout_rate, rng):
-        self.d_model = d_model
-        attn = MultiHeadSelfAttention(d_model, n_heads, rng)
-        ff = Sequential([
-            ("widen", Dense(d_model, ff_dim, rng)),
-            ("relu", ReLU()),
-            ("narrow", Dense(ff_dim, d_model, rng)),
+        # weights are drawn in this order: attention, widen, narrow
+        mhsa = MultiHeadSelfAttention(d_model, n_heads, rng)
+        widen = Dense(d_model, ff_dim, rng)
+        narrow = Dense(ff_dim, d_model, rng)
+        super().__init__([
+            ("attn", Residual([("mhsa", mhsa), ("drop", Dropout(dropout_rate, rng))])),
+            ("ln1", LayerNorm(d_model)),
+            ("ff", Residual([("widen", widen), ("relu", ReLU()), ("narrow", narrow),
+                             ("drop", Dropout(dropout_rate, rng))])),
+            ("ln2", LayerNorm(d_model)),
         ])
-        Layer.__init__(self)
-        self.attn = attn
-        self.drop1 = Dropout(dropout_rate, rng)
-        self.ln1 = LayerNorm(d_model)
-        self.ff = ff
-        self.drop2 = Dropout(dropout_rate, rng)
-        self.ln2 = LayerNorm(d_model)
-        self.sublayers = [
-            ("attn", self.attn), ("drop1", self.drop1), ("ln1", self.ln1),
-            ("ff", self.ff), ("drop2", self.drop2), ("ln2", self.ln2),
-        ]
-
-    def forward(self, x, train=False):
-        a = self.drop1.forward(self.attn.forward(x, train), train)
-        h = self.ln1.forward(x + a, train)
-        f = self.drop2.forward(self.ff.forward(h, train), train)
-        return self.ln2.forward(h + f, train)
-
-    def backward(self, dy):
-        dh_plus = self.ln2.backward(dy)
-        dh = dh_plus + self.ff.backward(self.drop2.backward(dh_plus))
-        dx_plus = self.ln1.backward(dh)
-        return dx_plus + self.attn.backward(self.drop1.backward(dx_plus))

@@ -126,8 +126,8 @@ def test_conv_block_grads(seed):
 
 def test_conv_block_identity_kernel_reduces_to_maxpool():
     rng = seeded_rng(0, "identity-conv")
-    block = nn.ConvBlock(3, 3, 3, rng, batchnorm=False)
-    conv = dict(block.sublayers)["conv"]
+    conv = nn.Conv1d(3, 3, 3, rng)
+    block = nn.Sequential([("conv", conv), ("relu", nn.ReLU()), ("pool", nn.MaxPool1d())])
     conv.params["W"][...] = 0.0
     conv.params["W"][1] = np.eye(3)  # center tap passes channels through
     conv.params["b"][...] = 0.0
@@ -138,8 +138,9 @@ def test_conv_block_identity_kernel_reduces_to_maxpool():
 
 def test_conv_block_zero_input_zero_bias_gives_zero():
     rng = seeded_rng(1, "zero-conv")
-    block = nn.ConvBlock(2, 5, 3, rng, batchnorm=False)
-    dict(block.sublayers)["conv"].params["b"][...] = 0.0
+    conv = nn.Conv1d(2, 5, 3, rng)
+    block = nn.Sequential([("conv", conv), ("relu", nn.ReLU()), ("pool", nn.MaxPool1d())])
+    conv.params["b"][...] = 0.0
     out = block.forward(np.zeros((1, 6, 2)))
     np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -183,7 +184,7 @@ def test_attention_identical_keys_average_values():
     out = attn.forward(x)
     v = x @ attn.params["Wv"] + attn.params["bv"]
     np.testing.assert_allclose(out, np.repeat(v.mean(axis=1, keepdims=True), 5, axis=1))
-    np.testing.assert_allclose(attn.last_attention.sum(axis=-1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(attn.attention_weights(x).sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_single_token_returns_value_row():
@@ -206,8 +207,7 @@ def test_softmax_weights_from_known_logits():
     attn.params["Wk"][...] = 1.0
     attn.params["bk"][...] = 0.0
     x = np.array([[[0.0], [np.log(3.0)]]])
-    attn.forward(x)
-    np.testing.assert_allclose(attn.last_attention[0, 0, 0], [0.25, 0.75], atol=1e-12)
+    np.testing.assert_allclose(attn.attention_weights(x)[0, 0, 0], [0.25, 0.75], atol=1e-12)
 
 
 def test_attention_divisibility_error():
@@ -275,3 +275,123 @@ def test_seeded_builds_are_identical():
     b = nn.Dense(4, 3, seeded_rng(11, "w"))
     np.testing.assert_array_equal(a.params["W"], b.params["W"])
     np.testing.assert_array_equal(a.params["b"], b.params["b"])
+
+
+# --- layer contract: pure inference, one walk, live state ------------------
+
+def benchmark_shaped_branches(seed, t=24, n_in=13):
+    """The CNN and Transformer baselines at the benchmark's sizes."""
+    rng = seeded_rng(seed, "init", "cnn")
+    cnn = nn.Sequential([
+        ("block1", nn.ConvBlock(n_in, 64, 3, rng)),
+        ("block2", nn.ConvBlock(64, 128, 3, rng)),
+        ("pool", nn.GlobalAvgPool()),
+        ("head", nn.Dense(128, 1, rng)),
+    ])
+    rng = seeded_rng(seed, "init", "tr")
+    tr = nn.Sequential([
+        ("embed", nn.Dense(n_in, 64, rng)),
+        ("pos", nn.PositionalEncodingAdd(t, 64)),
+        ("enc1", nn.EncoderBlock(64, 4, 128, 0.1, rng)),
+        ("enc2", nn.EncoderBlock(64, 4, 128, 0.1, rng)),
+        ("pool", nn.GlobalAvgPool()),
+        ("head", nn.Dense(64, 1, rng)),
+    ])
+    return {"cnn": cnn, "tr": tr}
+
+
+def fingerprint(val):
+    """Comparable deep value of a layer attribute; nested objects by identity."""
+    if isinstance(val, np.ndarray):
+        return ("array", val.dtype.str, val.shape, val.tobytes())
+    if isinstance(val, dict):
+        return {k: (id(v), fingerprint(v)) for k, v in val.items()}
+    if isinstance(val, (list, tuple)):
+        return [(id(v), fingerprint(v)) for v in val]
+    if isinstance(val, np.random.Generator):
+        return val.bit_generator.state
+    if isinstance(val, nn.Layer):
+        return "layer"
+    return val
+
+
+def layer_state(model):
+    return {(path, attr): (id(val), fingerprint(val))
+            for path, layer in model.walk() for attr, val in vars(layer).items()}
+
+
+@pytest.mark.parametrize("branch", ["cnn", "tr"])
+def test_inference_assigns_no_attribute(branch):
+    model = benchmark_shaped_branches(0)[branch]
+    x = seeded_rng(0, "pure-x").normal(size=(8, 24, 13))
+    # a train step first, so every backward cache exists and could be clobbered
+    model.forward(x, train=True)
+    model.backward(np.ones((8, 1)))
+    before = layer_state(model)
+    model.forward(x[:3], train=False)
+    assert layer_state(model) == before
+
+
+@pytest.mark.parametrize("branch", ["cnn", "tr"])
+def test_eval_forward_between_forward_and_backward_keeps_grads(branch):
+    rng = seeded_rng(1, "interleave")
+    x = rng.normal(size=(8, 24, 13))
+    dy = rng.normal(size=(8, 1))
+    runs = []
+    for interleave in (False, True):
+        model = benchmark_shaped_branches(1)[branch]
+        model.zero_grads()
+        model.forward(x, train=True)
+        if interleave:
+            model.forward(x[:5], train=False)
+        dx = model.backward(dy)
+        runs.append((dx, {k: g.copy() for k, g in model.named_grads().items()}))
+    (dx_a, grads_a), (dx_b, grads_b) = runs
+    np.testing.assert_array_equal(dx_a, dx_b)
+    assert grads_a.keys() == grads_b.keys()
+    for name in grads_a:
+        np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
+
+
+def test_walk_names_match_params():
+    block = nn.EncoderBlock(8, 2, 12, 0.1, seeded_rng(12, "walk"))
+    paths = [path for path, _ in block.walk("enc.")]
+    assert paths[:3] == ["enc.", "enc.attn.", "enc.attn.mhsa."]
+    assert "enc.attn.mhsa.Wq" in block.named_params("enc.")
+    assert "enc.ff.narrow.b" in block.named_grads("enc.")
+
+
+def test_state_tensors_hold_live_batchnorm_stats_and_roundtrip(tmp_path):
+    rng = seeded_rng(13, "state")
+    model = nn.Sequential([
+        ("outer", nn.Sequential([("b1", nn.ConvBlock(3, 4, 3, rng)),
+                                 ("b2", nn.ConvBlock(4, 5, 3, rng))])),
+        ("pool", nn.GlobalAvgPool()),
+    ])
+    state = model.state_tensors()
+    buffers = {f"outer.{b}.bn.{s}" for b in ("b1", "b2") for s in ("running_mean", "running_var")}
+    assert set(state) == set(model.named_params()) | buffers
+    for _ in range(3):
+        model.forward(rng.normal(loc=2.0, size=(6, 8, 3)), train=True)
+    for path, layer in model.walk():
+        if isinstance(layer, nn.BatchNorm1d):
+            for key, live in layer.buffers.items():
+                assert state[path + key] is live
+    assert not np.any(state["outer.b1.bn.running_mean"] == 0.0)
+
+    ckpt = tmp_path / "state.ckpt"
+    nn.save_checkpoint(ckpt, state)
+    loaded, _ = nn.load_checkpoint(ckpt)
+    assert loaded.keys() == state.keys()
+    for name, arr in state.items():
+        np.testing.assert_array_equal(loaded[name], arr, err_msg=name)
+
+    fresh = nn.Sequential([
+        ("outer", nn.Sequential([("b1", nn.ConvBlock(3, 4, 3, seeded_rng(0, "other"))),
+                                 ("b2", nn.ConvBlock(4, 5, 3, seeded_rng(0, "other")))])),
+        ("pool", nn.GlobalAvgPool()),
+    ])
+    for name, arr in fresh.state_tensors().items():
+        arr[...] = loaded[name]
+    x = rng.normal(size=(2, 8, 3))
+    np.testing.assert_array_equal(fresh.forward(x), model.forward(x))
