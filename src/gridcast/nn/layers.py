@@ -447,6 +447,9 @@ class EncoderBlock(Sequential):
 
     x = LN(x + Drop(SelfAttn(x))); x = LN(x + Drop(FF(x))) with a
     ReLU feed-forward of width ff_dim.
+
+    Weights are drawn from `rng`; both dropout layers draw from one child
+    stream spawned from it, which takes no draw from `rng` itself.
     """
 
     def __init__(self, d_model, n_heads, ff_dim, dropout_rate, rng):
@@ -454,10 +457,11 @@ class EncoderBlock(Sequential):
         mhsa = MultiHeadSelfAttention(d_model, n_heads, rng)
         widen = Dense(d_model, ff_dim, rng)
         narrow = Dense(ff_dim, d_model, rng)
+        drop_rng = rng.spawn(1)[0]
         super().__init__([
-            ("attn", Residual([("mhsa", mhsa), ("drop", Dropout(dropout_rate, rng))])),
+            ("attn", Residual([("mhsa", mhsa), ("drop", Dropout(dropout_rate, drop_rng))])),
             ("ln1", LayerNorm(d_model)),
             ("ff", Residual([("widen", widen), ("relu", ReLU()), ("narrow", narrow),
-                             ("drop", Dropout(dropout_rate, rng))])),
+                             ("drop", Dropout(dropout_rate, drop_rng))])),
             ("ln2", LayerNorm(d_model)),
         ])

@@ -395,3 +395,17 @@ def test_state_tensors_hold_live_batchnorm_stats_and_roundtrip(tmp_path):
         arr[...] = loaded[name]
     x = rng.normal(size=(2, 8, 3))
     np.testing.assert_array_equal(fresh.forward(x), model.forward(x))
+
+
+def test_dropout_masks_do_not_depend_on_init_draws():
+    def masks(extra_draws):
+        rng = seeded_rng(14, "init")
+        rng.random(extra_draws)
+        block = nn.EncoderBlock(8, 2, 12, 0.5, rng)
+        drops = [layer for _, layer in block.walk() if isinstance(layer, nn.Dropout)]
+        return [d.forward(np.ones((3, 4, 8)), train=True) for d in drops]
+
+    plain, shifted = masks(0), masks(5)
+    assert len(plain) == 2
+    for a, b in zip(plain, shifted):
+        np.testing.assert_array_equal(a, b)
