@@ -7,14 +7,7 @@ Subpackages and modules:
 - physics      parabolic temperature-demand envelope, tolerance band, and
                the band/ramp penalties with analytic gradients
 - nn           numpy layers with manual backprop, Adam, checkpoints
-- forecaster   CNN and Transformer branches and their training loop
-- ensemble     convex fusion weights fit on validation predictions
-- extremes     Hampel flagging and regime partitioning
-- attribution  exact and permutation-sampled Shapley values, rankings,
-               rank-stability statistics
-- evaluation   MAE/RMSE/MAPE reports, per-regime evaluation, ablation grid
 - synthetic    envelope-driven synthetic dataset generator
-- cli          pipeline subcommands (synth/ingest/calibrate/train/...)
 """
 
 __version__ = "0.1.0"

@@ -47,37 +47,5 @@ class ShapeError(GridcastError):
     """Tensor shape incompatible with a layer or operation."""
 
 
-class TrainingError(GridcastError):
-    """Training aborted (e.g. non-finite loss)."""
-
-    def __init__(self, message, epoch=None, batch=None, term=None):
-        self.epoch = epoch
-        self.batch = batch
-        self.term = term
-        ctx = ", ".join(
-            f"{k}={v}" for k, v in [("epoch", epoch), ("batch", batch), ("term", term)]
-            if v is not None
-        )
-        super().__init__(f"{message} ({ctx})" if ctx else message)
-
-
-class DegenerateEnsembleError(GridcastError):
-    """Member predictions identical; fusion weight is undefined."""
-
-
-class MapeUndefinedError(GridcastError):
-    """MAPE requested with a zero observation; carries the partial report."""
-
-    def __init__(self, message, partial_report=None):
-        self.partial_report = partial_report
-        super().__init__(message)
-
-
 class ArtifactError(GridcastError):
-    """Missing or mismatched pipeline artifact."""
-
-    def __init__(self, message, producing_stage=None):
-        self.producing_stage = producing_stage
-        if producing_stage:
-            message = f"{message} (produce it with the '{producing_stage}' subcommand)"
-        super().__init__(message)
+    """Unreadable, truncated or corrupted artifact file, such as a checkpoint."""

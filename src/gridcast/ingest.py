@@ -497,7 +497,7 @@ class Standardizer:
                    np.asarray(d["std"], dtype=float), d["fitted_on"])
 
 
-def fit_standardizer(frame, split, zero_variance_ok=False):
+def fit_standardizer(frame, split):
     """Means and population stds of the continuous columns over training rows."""
     lo, hi = split.range_of("train")
     rows = (frame.timestamps >= lo) & (frame.timestamps < hi)
@@ -511,9 +511,7 @@ def fit_standardizer(frame, split, zero_variance_ok=False):
         mean[ci] = sub[:, ci].mean()
         s = sub[:, ci].std()
         if s == 0.0:
-            if not zero_variance_ok:
-                raise StandardizerError(f"column {name!r} has zero variance on train")
-            s = 1.0
+            raise StandardizerError(f"column {name!r} has zero variance on train")
         std[ci] = s
     return Standardizer(mean, std, fitted_on="train")
 
@@ -652,33 +650,3 @@ def us_federal_holidays(start_year, end_year):
         out.add(dt.date(year, 12, 25))                    # Christmas
     return out
 
-
-def write_frame_csv(path, frame):
-    """Serialize a fully populated frame; floats use shortest-round-trip repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_utc", *FEATURE_COLUMNS])
-        for i in range(len(frame)):
-            writer.writerow([format_timestamp(frame.timestamps[i]),
-                             *[float_repr(v) for v in frame.data[i]]])
-
-
-def read_frame_csv(path):
-    expected = ["timestamp_utc", *FEATURE_COLUMNS]
-    timestamps, rows = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise CsvParseError(f"unknown frame header {header!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            timestamps.append(_parse_timestamp(row[0], line))
-            rows.append([float(v) for v in row[1:]])
-    data = np.array(rows, dtype=float)
-    return AlignedFrame(
-        np.array(timestamps, dtype="datetime64[s]"),
-        data,
-        np.zeros(data.shape, dtype=bool),
-    )

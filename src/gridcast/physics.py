@@ -74,12 +74,11 @@ def envelope_demand(env, t_c):
     return float(out) if np.isscalar(t_c) else out
 
 
-def fit_envelope(temps, demands, t0_c, continuity=False):
+def fit_envelope(temps, demands, t0_c):
     """Least-squares quadratic per segment; returns (envelope, residuals).
 
     Residuals (demand minus fitted curve, aligned to the inputs) feed the
-    tolerance fit. With continuity=True the two segments are constrained to
-    meet at t0_c and fit jointly.
+    tolerance fit.
     """
     temps = np.asarray(temps, dtype=float)
     demands = np.asarray(demands, dtype=float)
@@ -93,11 +92,7 @@ def fit_envelope(temps, demands, t0_c, continuity=False):
             f"cold={n_cold}, warm={n_warm}"
         )
 
-    if continuity:
-        coeffs = _fit_continuous(temps, demands, cold, t0_c)
-    else:
-        coeffs = _fit_per_segment(temps, demands, cold)
-    env = ParabolicEnvelope(*coeffs, t0_c=t0_c)
+    env = ParabolicEnvelope(*_fit_per_segment(temps, demands, cold), t0_c=t0_c)
     residuals = demands - envelope_demand(env, temps)
     return env, residuals
 
@@ -117,29 +112,6 @@ def _fit_per_segment(temps, demands, cold):
             )
         out.extend(sol)
     return out
-
-
-def _fit_continuous(temps, demands, cold, t0):
-    # Eliminate c2 via the junction constraint: c2 = c1 + (a1-a2)t0^2 + (b1-b2)t0,
-    # leaving free parameters (a1, b1, c1, a2, b2).
-    n = temps.size
-    design = np.zeros((n, 5))
-    t = temps
-    design[cold, 0] = t[cold] ** 2
-    design[cold, 1] = t[cold]
-    design[cold, 2] = 1.0
-    warm = ~cold
-    design[warm, 0] = t0 * t0
-    design[warm, 1] = t0
-    design[warm, 2] = 1.0
-    design[warm, 3] = t[warm] ** 2 - t0 * t0
-    design[warm, 4] = t[warm] - t0
-    sol, _, rank, _ = np.linalg.lstsq(design, demands, rcond=None)
-    if rank < 5:
-        raise CalibrationError("rank-deficient continuity-constrained fit")
-    a1, b1, c1, a2, b2 = sol
-    c2 = c1 + (a1 - a2) * t0 * t0 + (b1 - b2) * t0
-    return [a1, b1, c1, a2, b2, c2]
 
 
 @dataclass(frozen=True)

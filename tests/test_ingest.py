@@ -303,14 +303,12 @@ class TestStandardizer:
         # the documented convention on [1, 2, 3]
         assert np.std([1.0, 2.0, 3.0]) == pytest.approx(0.816496580927726)
 
-    def test_zero_variance_errors_and_flag(self):
+    def test_zero_variance_errors(self):
         frame = populated_frame()
         frame.data[:, 4] = 55.0  # constant humidity
         split = default_split(frame)
         with pytest.raises(StandardizerError, match="humidity"):
             ingest.fit_standardizer(frame, split)
-        std = ingest.fit_standardizer(frame, split, zero_variance_ok=True)
-        assert std.std[4] == 1.0
 
     def test_transform_zero_mean_unit_std_on_train(self):
         frame = populated_frame()
@@ -442,18 +440,6 @@ class TestSplitSpec:
         )
         again = ingest.SplitSpec.from_dict(spec.to_dict())
         assert again == spec
-
-
-def test_frame_csv_roundtrip(tmp_path):
-    frame = populated_frame()
-    p = tmp_path / "frame.csv"
-    ingest.write_frame_csv(p, frame)
-    again = ingest.read_frame_csv(p)
-    np.testing.assert_array_equal(again.timestamps, frame.timestamps)
-    np.testing.assert_array_equal(again.data, frame.data)
-
-    ingest.write_frame_csv(tmp_path / "frame2.csv", frame)
-    assert (tmp_path / "frame2.csv").read_bytes() == p.read_bytes()
 
 
 def test_build_frame_end_to_end(tmp_path):

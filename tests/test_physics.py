@@ -65,16 +65,6 @@ class TestFitEnvelope:
         with pytest.raises(CalibrationError):
             physics.fit_envelope(temps, np.arange(14.0), 18.5)
 
-    def test_continuity_flag_joins_segments(self):
-        rng = seeded_rng(2, "fit-cont")
-        temps = rng.uniform(-10, 40, size=5000)
-        demands = physics.envelope_demand(ENV, temps) + rng.normal(0, 300, size=5000)
-        fit, _ = physics.fit_envelope(temps, demands, ENV.t0_c, continuity=True)
-        t0 = ENV.t0_c
-        left = fit.a1 * t0**2 + fit.b1 * t0 + fit.c1
-        right = fit.a2 * t0**2 + fit.b2 * t0 + fit.c2
-        assert left == pytest.approx(right, abs=1e-6)
-
 
 class TestTolerance:
     def test_single_bin_plus_minus_100(self):
