@@ -24,6 +24,7 @@ Timestamps are ISO-8601 UTC on exact hours, e.g. 2024-01-06T03:00:00Z
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     CsvParseError,
     ImputationError,
     OrderingError,
+    ShapeError,
     StandardizerError,
     WindowError,
 )
@@ -59,6 +61,7 @@ WEATHER_COLUMNS = FEATURE_COLUMNS[2:8]
 
 # present-weather category codes used in the wx_code CSV field
 WX_CODES = {"clear": 0, "rain": 1, "snow": 2, "fog": 3, "thunderstorm": 4, "other": 5}
+_WX_CODE_VALUES = frozenset(float(code) for code in WX_CODES.values())
 
 LOAD_HEADER = ["timestamp_utc", "demand_mw"]
 WEATHER_HEADER = ["station", "timestamp_utc", "temp_c", "feels_like_c",
@@ -132,8 +135,9 @@ def parse_load_csv(path):
                 mw = float(row[1])
             except ValueError:
                 raise CsvParseError(f"bad demand value {row[1]!r}", line=line) from None
-            if not mw > 0:
-                raise CsvParseError(f"demand must be positive, got {mw}", line=line)
+            if not 0 < mw < math.inf:
+                raise CsvParseError(
+                    f"demand_mw must be positive and finite, got {mw}", line=line)
             timestamps.append(ts)
             demand.append(mw)
     if not timestamps:
@@ -150,15 +154,17 @@ def parse_load_csv(path):
     return LoadSeries(ts_arr, np.array(demand, dtype=float))
 
 
-def _parse_optional_float(text, line, name, lo=None, hi=None):
+def _parse_optional_float(text, line, name, lo=-math.inf, hi=math.inf):
+    """Float field; empty means missing (NaN). nan, inf and values outside
+    [lo, hi] are rejected."""
     if text.strip() == "":
         return np.nan
     try:
         val = float(text)
     except ValueError:
         raise CsvParseError(f"bad {name} value {text!r}", line=line) from None
-    if lo is not None and val < lo or hi is not None and val > hi:
-        raise CsvParseError(f"{name}={val} outside [{lo}, {hi}]", line=line)
+    if not (lo <= val <= hi and math.isfinite(val)):
+        raise CsvParseError(f"{name}={val} is not a finite value in [{lo}, {hi}]", line=line)
     return val
 
 
@@ -194,6 +200,9 @@ def parse_weather_csv(path):
                 _parse_optional_float(row[6], line, "precip_mm", lo=0),
                 _parse_optional_float(row[7], line, "wx_code"),
             ]
+            if vals[5] not in _WX_CODE_VALUES and not math.isnan(vals[5]):
+                raise CsvParseError(
+                    f"wx_code={vals[5]} is not one of {sorted(WX_CODES.values())}", line=line)
             stations.append(station)
             timestamps.append(ts)
             rows.append(vals)
@@ -220,7 +229,8 @@ class AlignedFrame:
 
     def __post_init__(self):
         if self.data.shape != (self.timestamps.size, N_FEATURES):
-            raise ValueError("frame data must be (n_rows, 13)")
+            raise ShapeError(
+                f"frame data must be ({self.timestamps.size}, {N_FEATURES}), got {self.data.shape}")
         if self.timestamps.size > 1:
             diffs = np.diff(self.timestamps)
             if np.any(diffs <= np.timedelta64(0, "s")):

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
+
 
 @dataclass
 class Adam:
@@ -17,7 +19,7 @@ class Adam:
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+            raise ConfigError("betas must lie in [0, 1)")
 
     def step(self, params, grads):
         """One update: params[k] -= lr * m_hat / (sqrt(v_hat) + eps)."""

@@ -127,8 +127,11 @@ class ToleranceModel:
     sigma_floor_mw: float
 
     def __post_init__(self):
-        if np.any(self.sigma_mw < self.sigma_floor_mw) or self.sigma_floor_mw <= 0:
-            raise CalibrationError("sigma must be >= sigma_floor_mw > 0 everywhere")
+        if not np.all(np.isfinite(self.bin_edges_c)):
+            raise CalibrationError("tolerance bin edges must be finite")
+        if not (self.sigma_floor_mw > 0 and np.all(np.isfinite(self.sigma_mw))
+                and np.all(self.sigma_mw >= self.sigma_floor_mw)):
+            raise CalibrationError("sigma must be finite and >= sigma_floor_mw > 0 everywhere")
 
     def _bin_index(self, t_c):
         idx = np.searchsorted(self.bin_edges_c, t_c, side="right") - 1
@@ -168,6 +171,8 @@ def fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30,
         raise CalibrationError("cannot fit tolerance on empty input")
     if temps.shape != residuals.shape:
         raise CalibrationError("temps and residuals must align")
+    if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(residuals))):
+        raise CalibrationError("temps and residuals must be finite")
     lo = np.floor(temps.min() / bin_width_c) * bin_width_c
     hi = np.ceil(temps.max() / bin_width_c) * bin_width_c
     if hi <= lo:

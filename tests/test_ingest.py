@@ -9,6 +9,7 @@ from gridcast.errors import (
     CsvParseError,
     ImputationError,
     OrderingError,
+    ShapeError,
     StandardizerError,
     WindowError,
 )
@@ -84,6 +85,13 @@ class TestParseLoad:
         with pytest.raises(CsvParseError, match="positive"):
             ingest.parse_load_csv(p)
 
+    def test_infinite_demand_rejected_with_line_and_field(self, tmp_path):
+        p = tmp_path / "load.csv"
+        p.write_text("timestamp_utc,demand_mw\n"
+                     "2024-01-01T00:00:00Z,40000.0\n2024-01-01T01:00:00Z,inf\n")
+        with pytest.raises(CsvParseError, match="line 3: demand_mw"):
+            ingest.parse_load_csv(p)
+
 
 class TestParseWeather:
     def test_missing_fields_become_nan(self, tmp_path):
@@ -97,6 +105,20 @@ class TestParseWeather:
         p = tmp_path / "wx.csv"
         write_weather_csv(p, ["BKS,2024-01-01T00:00:00Z,10.0,9.0,140,3.0,0.0,0"])
         with pytest.raises(CsvParseError, match="humidity"):
+            ingest.parse_weather_csv(p)
+
+    def test_infinite_temperature_rejected_with_line_and_field(self, tmp_path):
+        p = tmp_path / "wx.csv"
+        write_weather_csv(p, ["BKS,2024-01-01T00:00:00Z,10.0,9.0,50,3.0,0.0,0",
+                              "BKS,2024-01-01T01:00:00Z,inf,9.0,50,3.0,0.0,0"])
+        with pytest.raises(CsvParseError, match="line 3: temp_c"):
+            ingest.parse_weather_csv(p)
+
+    def test_wx_code_must_be_a_known_code(self, tmp_path):
+        p = tmp_path / "wx.csv"
+        write_weather_csv(p, ["BKS,2024-01-01T00:00:00Z,10.0,9.0,50,3.0,0.0,4.0",
+                              "BKS,2024-01-01T01:00:00Z,10.0,9.0,50,3.0,0.0,7.5"])
+        with pytest.raises(CsvParseError, match="line 3: wx_code"):
             ingest.parse_weather_csv(p)
 
     def test_duplicate_station_hour_rejected(self, tmp_path):
@@ -130,6 +152,11 @@ def weather_rows(start, station_temps):
 
 
 class TestAlign:
+    def test_frame_shape_mismatch_is_a_shape_error(self):
+        ts = hours("2024-01-01T00:00:00", 3)
+        with pytest.raises(ShapeError, match="frame data"):
+            ingest.AlignedFrame(ts, np.zeros((3, 12)), np.zeros((3, 12), dtype=bool))
+
     def test_three_station_mean(self):
         load = load_series("2024-01-01T00:00:00", [40000.0])
         wx = weather_rows("2024-01-01T00:00:00", {"BKS": [10.0], "JDD": [12.0], "TME": [14.0]})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridcast import nn
+from gridcast.errors import ArtifactError, ConfigError
 from gridcast.seeding import seeded_rng
 
 
@@ -33,7 +34,7 @@ def test_constant_gradient_decreases_monotonically():
 
 
 def test_bad_betas_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         nn.Adam(beta1=1.0)
 
 
@@ -59,5 +60,36 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path):
 def test_checkpoint_rejects_other_files(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError):
+    with pytest.raises(ArtifactError, match="junk.bin"):
         nn.load_checkpoint(p)
+
+
+def saved_checkpoint(tmp_path):
+    rng = seeded_rng(4, "ckpt-damage")
+    path = tmp_path / "good.ckpt"
+    nn.save_checkpoint(path, {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)})
+    return path, path.read_bytes()
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    path, raw = saved_checkpoint(tmp_path)
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ArtifactError, match="good.ckpt.*bytes"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
+    path, raw = saved_checkpoint(tmp_path)
+    damaged = bytearray(raw)
+    damaged[-5] ^= 0x01
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(ArtifactError, match="good.ckpt.*SHA-256"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_undecodable_header(tmp_path):
+    path, raw = saved_checkpoint(tmp_path)
+    magic_end = len(b"GRIDCAST-CKPT-1\n")
+    path.write_bytes(raw[:magic_end] + b"\xff{not json\n" + raw[raw.index(b"\n", magic_end) + 1:])
+    with pytest.raises(ArtifactError, match="good.ckpt.*header"):
+        nn.load_checkpoint(path)

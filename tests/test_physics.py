@@ -93,6 +93,23 @@ class TestTolerance:
         with pytest.raises(CalibrationError):
             physics.fit_tolerance(np.array([]), np.array([]))
 
+    def test_nan_temperature_errors(self):
+        temps = np.linspace(0.0, 30.0, 100)
+        temps[7] = np.nan
+        with pytest.raises(CalibrationError, match="finite"):
+            physics.fit_tolerance(temps, np.ones(100))
+
+    @pytest.mark.parametrize("sigma, edges", [
+        ([np.nan], [-100.0, 100.0]),
+        ([np.inf], [-100.0, 100.0]),
+        ([5.0], [-100.0, np.nan]),
+        ([5.0], [-np.inf, 100.0]),
+    ])
+    def test_model_rejects_non_finite_sigma_and_edges(self, sigma, edges):
+        with pytest.raises(CalibrationError, match="finite"):
+            physics.ToleranceModel(bin_edges_c=np.array(edges), sigma_mw=np.array(sigma),
+                                   sigma_floor_mw=1.0)
+
     def test_roundtrip_dict(self):
         temps = np.linspace(-5, 35, 200)
         tol = physics.fit_tolerance(temps, np.sin(temps) * 100, min_bin_count=5)
