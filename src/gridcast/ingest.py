@@ -198,11 +198,12 @@ def parse_weather_csv(path):
                 _parse_optional_float(row[4], line, "humidity_pct", lo=0, hi=100),
                 _parse_optional_float(row[5], line, "wind_ms", lo=0),
                 _parse_optional_float(row[6], line, "precip_mm", lo=0),
-                _parse_optional_float(row[7], line, "wx_code"),
             ]
-            if vals[5] not in _WX_CODE_VALUES and not math.isnan(vals[5]):
+            wx_code = _parse_optional_float(row[7], line, "wx_code")
+            if wx_code not in _WX_CODE_VALUES and not math.isnan(wx_code):
                 raise CsvParseError(
-                    f"wx_code={vals[5]} is not one of {sorted(WX_CODES.values())}", line=line)
+                    f"wx_code={wx_code} is not one of {sorted(WX_CODES.values())}", line=line)
+            vals.append(wx_code)
             stations.append(station)
             timestamps.append(ts)
             rows.append(vals)
@@ -659,4 +660,3 @@ def us_federal_holidays(start_year, end_year):
         out.add(_nth_weekday(year, 11, 3, 4))             # Thanksgiving
         out.add(dt.date(year, 12, 25))                    # Christmas
     return out
-
