@@ -18,16 +18,32 @@ CSV formats (version 1, rejected if the header differs):
     weather: station,timestamp_utc,temp_c,feels_like_c,humidity_pct,wind_ms,precip_mm,wx_code
     holidays: one ISO date per line, '#' comments allowed
 
-Timestamps are ISO-8601 UTC on exact hours, e.g. 2024-01-06T03:00:00Z
-(the trailing Z is optional on input, emitted on output).
+Timestamps are ISO-8601 UTC on exact hours, e.g. 2024-01-06T03:00:00Z.
+The trailing Z is optional on input and emitted on output; any other UTC
+offset (+00:00, -05:00, ...) is rejected, and so is an empty or NaT field.
+A weather value field may be empty (missing, NaN); anything else must be a
+finite number in the field's range, and wx_code one of WX_CODES.
+
+The CSV parsers are columnar. They take csv.reader rows in blocks of
+_BLOCK_ROWS, transpose each block into one tuple of strings per column and
+convert each column in one pass. Every check is a mask over the block, and
+its first set row names the line in the error; only when a conversion
+raises is that column scanned field by field for the first bad one. Checks
+run column by column, so in a file with several faults the one reported is
+the first row failing the first check that fails, not always the first
+faulty row. Weather (station, timestamp) duplicates are found after the
+last block with one stable lexsort.
 """
 
 import csv
 import datetime as dt
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AlignmentError,
@@ -61,7 +77,7 @@ WEATHER_COLUMNS = FEATURE_COLUMNS[2:8]
 
 # present-weather category codes used in the wx_code CSV field
 WX_CODES = {"clear": 0, "rain": 1, "snow": 2, "fog": 3, "thunderstorm": 4, "other": 5}
-_WX_CODE_VALUES = frozenset(float(code) for code in WX_CODES.values())
+_WX_CODE_VALUES = np.array(sorted(WX_CODES.values()), dtype=float)
 
 LOAD_HEADER = ["timestamp_utc", "demand_mw"]
 WEATHER_HEADER = ["station", "timestamp_utc", "temp_c", "feels_like_c",
@@ -70,18 +86,9 @@ WEATHER_HEADER = ["station", "timestamp_utc", "temp_c", "feels_like_c",
 HOUR = np.timedelta64(1, "h").astype("timedelta64[s]")
 WINDOW_HOURS = 24
 
-
-def _parse_timestamp(text, line):
-    raw = text.strip()
-    if raw.endswith("Z"):
-        raw = raw[:-1]
-    try:
-        ts = np.datetime64(raw, "s")
-    except ValueError:
-        raise CsvParseError(f"bad timestamp {text!r}", line=line) from None
-    if ts != ts.astype("datetime64[h]").astype("datetime64[s]"):
-        raise CsvParseError(f"timestamp {text!r} is not on an exact hour", line=line)
-    return ts
+# The CSV readers parse this many rows at a time: enough to keep per-block
+# overhead small, few enough that a block's field strings stay a few MB.
+_BLOCK_ROWS = 8192
 
 
 def format_timestamp(ts):
@@ -116,33 +123,95 @@ class WeatherTable:
         return self.timestamps.size
 
 
+def _read_columns(path, header, kind):
+    """Yield (lines, columns) for each block of up to _BLOCK_ROWS data rows.
+
+    Blank rows are skipped; `lines` holds the line number of each row kept,
+    and `columns` one tuple of field strings per header column.
+    Rejects a header other than `header` and rows of the wrong width.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise CsvParseError(f"unknown {kind} header {found!r}, expected {header}")
+        first = 2
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            lines = np.arange(first, first + len(rows))
+            first += len(rows)
+            widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+            if not widths.all():
+                rows = [row for row in rows if row]
+                lines, widths = lines[widths > 0], widths[widths > 0]
+            _reject(widths != len(header), lines,
+                    lambda i: f"expected {len(header)} fields, got {widths[i]}")
+            if rows:
+                yield lines, tuple(zip(*rows))
+
+
+def _reject(bad, lines, message):
+    """Raise CsvParseError for the first row flagged in the mask `bad`;
+    message(i) describes row i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CsvParseError(message(i), line=int(lines[i]))
+
+
+def _convert(convert, texts, lines, what):
+    """convert(texts) over a whole column. Only when that raises ValueError
+    is the column scanned, field by field, for the first bad one."""
+    try:
+        return convert(texts)
+    except ValueError:
+        for text, line in zip(texts, lines):
+            try:
+                convert([text])
+            except ValueError:
+                raise CsvParseError(f"bad {what} {text!r}", line=int(line)) from None
+        raise
+
+
+def _datetimes(texts):
+    raw = [text.strip().removesuffix("Z") for text in texts]
+    with warnings.catch_warnings():
+        # numpy parses a UTC offset such as +00:00 or -05:00 with only a
+        # warning and shifts the time by it; here an offset is an error
+        warnings.simplefilter("error")
+        try:
+            ts = np.array(raw, dtype="datetime64[s]")
+        except Warning as exc:
+            raise ValueError(str(exc)) from None
+    if np.isnat(ts).any():
+        raise ValueError("NaT")
+    return ts
+
+
+def _timestamps(texts, lines):
+    """Parse a timestamp column and require every value on an exact hour."""
+    ts = _convert(_datetimes, texts, lines, "timestamp")
+    _reject(ts != ts.astype("datetime64[h]"), lines,
+            lambda i: f"timestamp {texts[i]!r} is not on an exact hour")
+    return ts
+
+
+def _optional_floats(texts):
+    return np.array([float(t) if t else math.nan for t in texts])
+
+
 def parse_load_csv(path):
     """Read the demand CSV; rejects unknown headers, bad rows, and
     non-increasing or duplicate timestamps."""
-    timestamps, demand = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LOAD_HEADER:
-            raise CsvParseError(f"unknown load header {header!r}, expected {LOAD_HEADER}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvParseError(f"expected 2 fields, got {len(row)}", line=line)
-            ts = _parse_timestamp(row[0], line)
-            try:
-                mw = float(row[1])
-            except ValueError:
-                raise CsvParseError(f"bad demand value {row[1]!r}", line=line) from None
-            if not 0 < mw < math.inf:
-                raise CsvParseError(
-                    f"demand_mw must be positive and finite, got {mw}", line=line)
-            timestamps.append(ts)
-            demand.append(mw)
-    if not timestamps:
+    stamps, demands = [], []
+    for lines, (ts_texts, mw_texts) in _read_columns(path, LOAD_HEADER, "load"):
+        stamps.append(_timestamps(ts_texts, lines))
+        mw = _convert(lambda texts: np.array(list(map(float, texts))),
+                      mw_texts, lines, "demand value")
+        _reject(~((mw > 0) & (mw < math.inf)), lines,
+                lambda i: f"demand_mw must be positive and finite, got {float(mw[i])}")
+        demands.append(mw)
+    if not stamps:
         raise CsvParseError("load file has no data rows")
-    ts_arr = np.array(timestamps, dtype="datetime64[s]")
+    ts_arr = np.concatenate(stamps)
     diffs = np.diff(ts_arr)
     if np.any(diffs == np.timedelta64(0, "s")):
         where = int(np.flatnonzero(diffs == np.timedelta64(0, "s"))[0])
@@ -151,69 +220,57 @@ def parse_load_csv(path):
         where = int(np.flatnonzero(diffs < np.timedelta64(0, "s"))[0])
         raise OrderingError(
             f"timestamps not increasing at {format_timestamp(ts_arr[where + 1])}")
-    return LoadSeries(ts_arr, np.array(demand, dtype=float))
+    return LoadSeries(ts_arr, np.concatenate(demands))
 
 
-def _parse_optional_float(text, line, name, lo=-math.inf, hi=math.inf):
-    """Float field; empty means missing (NaN). nan, inf and values outside
-    [lo, hi] are rejected."""
-    if text.strip() == "":
-        return np.nan
-    try:
-        val = float(text)
-    except ValueError:
-        raise CsvParseError(f"bad {name} value {text!r}", line=line) from None
-    if not (lo <= val <= hi and math.isfinite(val)):
-        raise CsvParseError(f"{name}={val} is not a finite value in [{lo}, {hi}]", line=line)
-    return val
+# (name, lo, hi) of the weather value fields, in WEATHER_HEADER order
+_WEATHER_FIELDS = (
+    ("temp_c", -math.inf, math.inf),
+    ("feels_like_c", -math.inf, math.inf),
+    ("humidity_pct", 0, 100),
+    ("wind_ms", 0, math.inf),
+    ("precip_mm", 0, math.inf),
+    ("wx_code", -math.inf, math.inf),
+)
 
 
 def parse_weather_csv(path):
-    """Read the station weather CSV; empty fields become NaN."""
-    stations, timestamps, rows = [], [], []
-    seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WEATHER_HEADER:
-            raise CsvParseError(
-                f"unknown weather header {header!r}, expected {WEATHER_HEADER}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 8:
-                raise CsvParseError(f"expected 8 fields, got {len(row)}", line=line)
-            station = row[0].strip()
-            if not station:
-                raise CsvParseError("empty station id", line=line)
-            ts = _parse_timestamp(row[1], line)
-            key = (station, ts.astype("int64").item())
-            if key in seen:
-                raise OrderingError(
-                    f"duplicate record for station {station} at {format_timestamp(ts)}")
-            seen.add(key)
-            vals = [
-                _parse_optional_float(row[2], line, "temp_c"),
-                _parse_optional_float(row[3], line, "feels_like_c"),
-                _parse_optional_float(row[4], line, "humidity_pct", lo=0, hi=100),
-                _parse_optional_float(row[5], line, "wind_ms", lo=0),
-                _parse_optional_float(row[6], line, "precip_mm", lo=0),
-            ]
-            wx_code = _parse_optional_float(row[7], line, "wx_code")
-            if wx_code not in _WX_CODE_VALUES and not math.isnan(wx_code):
-                raise CsvParseError(
-                    f"wx_code={wx_code} is not one of {sorted(WX_CODES.values())}", line=line)
-            vals.append(wx_code)
-            stations.append(station)
-            timestamps.append(ts)
-            rows.append(vals)
-    if not timestamps:
+    """Read the station weather CSV; empty fields become NaN. Other values
+    must be finite and in range, and wx_code one of WX_CODES."""
+    stations, stamps, values = [], [], []
+    for lines, columns in _read_columns(path, WEATHER_HEADER, "weather"):
+        station = np.array([text.strip() for text in columns[0]])
+        _reject(station == "", lines, lambda i: "empty station id")
+        ts = _timestamps(columns[1], lines)
+        block = []
+        for (name, lo, hi), texts in zip(_WEATHER_FIELDS, columns[2:]):
+            vals = _convert(_optional_floats, texts, lines, f"{name} value")
+            nan = np.isnan(vals)
+            bad = ~nan & ~((lo <= vals) & (vals <= hi) & np.isfinite(vals))
+            # NaN is allowed only from an empty field, not from a field reading "nan"
+            if np.count_nonzero(nan) != texts.count(""):
+                bad |= nan & (np.array(texts, dtype=object) != "")
+            _reject(bad, lines, lambda i: (
+                f"{name}={float(vals[i])} is not a finite value in [{lo}, {hi}]"))
+            block.append(vals)
+        wx_code = block[-1]
+        _reject(~np.isnan(wx_code) & ~np.isin(wx_code, _WX_CODE_VALUES), lines,
+                lambda i: f"wx_code={float(wx_code[i])} is not one of "
+                          f"{sorted(WX_CODES.values())}")
+        stations.append(station)
+        stamps.append(ts)
+        values.append(np.column_stack(block))
+    if not stamps:
         raise CsvParseError("weather file has no data rows")
-    return WeatherTable(
-        np.array(stations),
-        np.array(timestamps, dtype="datetime64[s]"),
-        np.array(rows, dtype=float),
-    )
+    station, ts = np.concatenate(stations), np.concatenate(stamps)
+    order = np.lexsort((ts, station))  # stable: equal keys stay in file order
+    repeat = ((station[order[1:]] == station[order[:-1]])
+              & (ts[order[1:]] == ts[order[:-1]]))
+    if repeat.any():
+        first = int(order[1:][repeat].min())
+        raise OrderingError(f"duplicate record for station {station[first]} "
+                            f"at {format_timestamp(ts[first])}")
+    return WeatherTable(station, ts, np.concatenate(values))
 
 
 @dataclass
@@ -350,19 +407,9 @@ def impute_linear(frame, max_gap_hours=6):
 
 def _missing_runs(miss):
     """(start, length) of each maximal run of True."""
-    runs = []
-    i = 0
-    n = miss.size
-    while i < n:
-        if miss[i]:
-            j = i
-            while j < n and miss[j]:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
+    edges = np.diff(np.concatenate([[0], miss.astype(np.int8), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
 def encode_calendar(frame, holidays):
@@ -565,22 +612,19 @@ def make_windows(frame, standardizer, split):
     for tag in ("train", "val", "test"):
         lo, hi = split.range_of(tag)
         sel = np.flatnonzero((frame.timestamps >= lo) & (frame.timestamps < hi))
-        windows, targets_idx = [], []
-        if sel.size:
-            sub_ts = frame.timestamps[sel]
-            breaks = np.flatnonzero(np.diff(sub_ts) != HOUR)
-            starts = np.concatenate([[0], breaks + 1])
-            ends = np.concatenate([breaks + 1, [sel.size]])
-            for s, e in zip(starts, ends):
-                seg = sel[s:e]
-                for t in range(WINDOW_HOURS, seg.size):
-                    windows.append(std_data[seg[t - WINDOW_HOURS]:seg[t - WINDOW_HOURS] + WINDOW_HOURS])
-                    targets_idx.append(seg[t])
-        if not windows:
+        # a row is a target when the 24 rows before it are in its hourly segment
+        pos = np.arange(sel.size)
+        seg_start = np.zeros(sel.size, dtype=bool)
+        seg_start[:1] = True
+        seg_start[1:] = np.diff(frame.timestamps[sel]) != HOUR
+        since_start = pos - np.maximum.accumulate(np.where(seg_start, pos, 0))
+        targets_idx = sel[since_start >= WINDOW_HOURS]
+        if not targets_idx.size:
             raise WindowError(f"split {tag!r} is shorter than 25 contiguous hours")
-        targets_idx = np.array(targets_idx)
+        # one gather from the view of every 24-row block of the frame
+        blocks = sliding_window_view(std_data, (WINDOW_HOURS, N_FEATURES))
         out[tag] = WindowSet(
-            inputs=np.stack(windows),
+            inputs=blocks[targets_idx - WINDOW_HOURS, 0],
             targets_mw=frame.data[targets_idx, DEMAND].copy(),
             targets_std=standardizer.standardize_demand(frame.data[targets_idx, DEMAND]),
             target_timestamps=frame.timestamps[targets_idx].copy(),

@@ -93,6 +93,26 @@ class TestParseLoad:
             ingest.parse_load_csv(p)
 
 
+class TestTimestamps:
+    @pytest.mark.parametrize("text", [
+        "2024-01-06T03:00:00-05:00",  # numpy would shift it to 08:00 UTC
+        "2024-01-06T03:00:00+00:00",
+        "",
+        "NaT",
+    ])
+    def test_rejected_as_bad_timestamp_with_line(self, tmp_path, text):
+        p = tmp_path / "load.csv"
+        p.write_text(f"timestamp_utc,demand_mw\n2024-01-06T02:00:00Z,40000.0\n{text},40000.0\n")
+        with pytest.raises(CsvParseError, match="line 3: bad timestamp"):
+            ingest.parse_load_csv(p)
+
+    def test_offset_rejected_in_weather_file(self, tmp_path):
+        p = tmp_path / "wx.csv"
+        write_weather_csv(p, ["BKS,2024-01-06T03:00:00+00:00,10.0,9.0,50,3.0,0.0,0"])
+        with pytest.raises(CsvParseError, match="line 2: bad timestamp"):
+            ingest.parse_weather_csv(p)
+
+
 class TestParseWeather:
     def test_missing_fields_become_nan(self, tmp_path):
         p = tmp_path / "wx.csv"
