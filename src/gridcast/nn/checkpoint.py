@@ -1,10 +1,11 @@
 """Deterministic checkpoint container: JSON header plus raw float64 blobs.
 
 Layout: magic line, one JSON header line (tensor directory, metadata and
-the SHA-256 of the tensor data), then the concatenated C-order
-little-endian array bytes. Writing the same tensors and metadata twice
-produces byte-identical files, which numpy's zip-based formats do not
-guarantee.
+a SHA-256 digest), then the concatenated C-order little-endian array
+bytes. The digest covers the directory and metadata as well as the data,
+so a damaged header is caught like damaged data. Writing the same tensors
+and metadata twice produces byte-identical files, which numpy's zip-based
+formats do not guarantee.
 """
 
 import hashlib
@@ -14,7 +15,15 @@ import numpy as np
 
 from ..errors import ArtifactError
 
-MAGIC = b"GRIDCAST-CKPT-1\n"
+MAGIC = b"GRIDCAST-CKPT-2\n"
+
+
+def _digest(directory, meta, blob):
+    """SHA-256 over the canonical JSON of directory and meta, then the data."""
+    h = hashlib.sha256(json.dumps({"tensors": directory, "meta": meta},
+                                  sort_keys=True, ensure_ascii=True).encode("ascii"))
+    h.update(blob)
+    return h.hexdigest()
 
 
 def save_checkpoint(path, tensors, meta=None):
@@ -29,9 +38,9 @@ def save_checkpoint(path, tensors, meta=None):
         blobs.append(raw)
         offset += len(raw)
     blob = b"".join(blobs)
+    meta = meta or {}
     header = json.dumps(
-        {"tensors": directory, "meta": meta or {},
-         "sha256": hashlib.sha256(blob).hexdigest()},
+        {"tensors": directory, "meta": meta, "sha256": _digest(directory, meta, blob)},
         sort_keys=True, ensure_ascii=True,
     )
     with open(path, "wb") as fh:
@@ -45,7 +54,7 @@ def load_checkpoint(path):
 
     Raises ArtifactError, naming the path, on a wrong magic line, an
     unreadable header, tensor data of the wrong length or a checksum
-    mismatch.
+    mismatch over the header's directory and meta and the tensor data.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -62,8 +71,8 @@ def load_checkpoint(path):
     if len(blob) != sum(sizes):
         raise ArtifactError(
             f"{path}: tensor data is {len(blob)} bytes, the header implies {sum(sizes)}")
-    if hashlib.sha256(blob).hexdigest() != digest:
-        raise ArtifactError(f"{path}: tensor data fails its SHA-256 check")
+    if _digest(directory, meta, blob) != digest:
+        raise ArtifactError(f"{path}: header or tensor data fails its SHA-256 check")
     tensors = {}
     for entry in directory:
         shape = tuple(entry["shape"])

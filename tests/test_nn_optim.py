@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,20 @@ def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
     damaged[-5] ^= 0x01
     path.write_bytes(bytes(damaged))
     with pytest.raises(ArtifactError, match="good.ckpt.*SHA-256"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_swapped_offsets(tmp_path):
+    # same shapes, so the damaged directory still matches the blob length
+    path = tmp_path / "swap.ckpt"
+    nn.save_checkpoint(path, {"a": np.zeros(3), "b": np.ones(3)})
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    a, b = fields["tensors"]
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+    header = json.dumps(fields, sort_keys=True, ensure_ascii=True).encode("ascii")
+    path.write_bytes(b"\n".join([magic, header, blob]))
+    with pytest.raises(ArtifactError, match="swap.ckpt.*SHA-256"):
         nn.load_checkpoint(path)
 
 
