@@ -151,7 +151,14 @@ def _ar1(rng, n, rho, sigma):
 
 
 def _event_weight(timestamps, events):
-    """Superposed 0..1 raised ramps for every scheduled event."""
+    """Event weight and temperature offset per hour.
+
+    Each event has a 0..1 raised-ramp profile. Where events overlap, the
+    one with the largest profile at that hour (the earlier-scheduled one on
+    a tie) sets both: the weight is that profile and the offset is it times
+    the event's temp_offset_c, the same max rule as the wind and
+    precipitation multipliers.
+    """
     w = np.zeros(timestamps.size)
     signed = np.zeros(timestamps.size)
     t0 = timestamps[0]
@@ -173,8 +180,9 @@ def _event_weight(timestamps, events):
         vals[hold] = 1.0
         vals[down] = 1.0 - (r[down] - ramp - dur + 1) / (ramp + 1)
         prof[inside] = vals
-        w = np.maximum(w, prof)
-        signed[inside] = prof[inside] * ev.temp_offset_c
+        stronger = prof > w
+        signed[stronger] = prof[stronger] * ev.temp_offset_c
+        w[stronger] = prof[stronger]
     return w, signed
 
 

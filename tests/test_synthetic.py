@@ -113,3 +113,25 @@ def test_missing_rate_injects_gaps(tmp_path):
     data = synthetic.generate(cfg)
     total = sum(int(np.isnan(v).sum()) for v in data.station_weather.values())
     assert total > 0
+
+
+def test_nested_event_keeps_the_outer_plateau():
+    # a weak event inside a strong one's plateau: the larger profile sets the offset
+    hours = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(96) * np.timedelta64(3600, "s")
+    outer = synthetic.ExtremeEvent("2024-01-01T10:00:00Z", 48, -10.0)
+    inner = synthetic.ExtremeEvent("2024-01-02T00:00:00Z", 2, -1.0)
+    weight, offset = synthetic._event_weight(hours, (outer, inner))
+    plateau = slice(13, 61)  # outer ramps up over hours 10-12 and holds for 48 h
+    np.testing.assert_array_equal(weight[plateau], 1.0)
+    np.testing.assert_array_equal(offset[plateau], -10.0)
+    alone_w, alone_offset = synthetic._event_weight(hours, (outer,))
+    np.testing.assert_array_equal(weight, alone_w)
+    np.testing.assert_array_equal(offset, alone_offset)
+
+
+def test_default_schedule_events_never_overlap():
+    # so the overlap rule leaves the default datasets unchanged
+    cfg = synthetic.SyntheticConfig(years=2, seed=0)
+    hours = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(17_544) * np.timedelta64(3600, "s")
+    active = sum((synthetic._event_weight(hours, (ev,))[0] > 0).astype(int) for ev in cfg.events)
+    assert active.max() == 1
