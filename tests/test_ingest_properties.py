@@ -62,7 +62,7 @@ def stamp(ts, suffix):
 
 
 def with_blank_lines(draw, rows):
-    """The rows with blank lines drawn in between (and at the end)."""
+    """The rows, each drawn to follow a blank line or not."""
     out = []
     for row in rows:
         out += [""] * draw(st.integers(0, 1))
@@ -106,16 +106,16 @@ def csv_text(header, lines):
 @given(rows=load_rows(), block_rows=st.integers(1, 9), data=st.data())
 def test_load_parser_matches_reference_on_clean_files(rows, block_rows, data):
     text = csv_text(ingest.LOAD_HEADER, with_blank_lines(data.draw, rows))
-    (expected, _), (got, exc) = parse_both("parse_load_csv", text, block_rows)
-    assert exc is None
+    (expected, ref_exc), (got, exc) = parse_both("parse_load_csv", text, block_rows)
+    assert ref_exc is None and exc is None, (ref_exc, exc)
     assert_same_arrays(expected, got)
 
 
 @given(rows=weather_rows(), block_rows=st.integers(1, 9), data=st.data())
 def test_weather_parser_matches_reference_on_clean_files(rows, block_rows, data):
     text = csv_text(ingest.WEATHER_HEADER, with_blank_lines(data.draw, rows))
-    (expected, _), (got, exc) = parse_both("parse_weather_csv", text, block_rows)
-    assert exc is None
+    (expected, ref_exc), (got, exc) = parse_both("parse_weather_csv", text, block_rows)
+    assert ref_exc is None and exc is None, (ref_exc, exc)
     assert_same_arrays(expected, got)
 
 
