@@ -11,6 +11,7 @@ Stages (each pure, composable):
 
 The canonical feature order is FEATURE_COLUMNS; the first seven columns are
 continuous and get standardized, the rest are plain numeric encodings.
+NaN is the frame's only missing marker; AlignedFrame.missing is np.isnan(data).
 
 CSV formats (version 1, rejected if the header differs):
 
@@ -23,6 +24,11 @@ The trailing Z is optional on input and emitted on output; any other UTC
 offset (+00:00, -05:00, ...) is rejected, and so is an empty or NaT field.
 A weather value field may be empty (missing, NaN); anything else must be a
 finite number in the field's range, and wx_code one of WX_CODES.
+
+write_load_csv and write_weather_csv emit the same format, _BLOCK_ROWS rows
+at a time: each float as its shortest round-trip repr and NaN as an empty
+field, so parse_*_csv(write_*_csv(x)) returns x bit for bit. Split bounds and
+synthetic event starts take the timestamp rule through parse_timestamp.
 
 The CSV parsers are columnar. They take csv.reader rows in blocks of
 _BLOCK_ROWS, transpose each block into one tuple of strings per column and
@@ -47,6 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AlignmentError,
+    ConfigError,
     CsvParseError,
     ImputationError,
     OrderingError,
@@ -86,18 +93,13 @@ WEATHER_HEADER = ["station", "timestamp_utc", "temp_c", "feels_like_c",
 HOUR = np.timedelta64(1, "h").astype("timedelta64[s]")
 WINDOW_HOURS = 24
 
-# The CSV readers parse this many rows at a time: enough to keep per-block
-# overhead small, few enough that a block's field strings stay a few MB.
+# The CSV readers and writers handle this many rows at a time: enough to keep
+# per-block overhead small, few enough that a block's field strings stay a few MB.
 _BLOCK_ROWS = 8192
 
 
 def format_timestamp(ts):
     return str(ts.astype("datetime64[s]")) + "Z"
-
-
-def float_repr(v):
-    """Shortest round-trip decimal form of a float (CSV determinism)."""
-    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,18 @@ def _datetimes(texts):
     return ts
 
 
+def parse_timestamp(value, field):
+    """One timestamp by the CSV column's rule; a non-string value such as a
+    np.datetime64 is taken as it is. Returns datetime64[s]; raises
+    ConfigError naming `field` for text the rule rejects."""
+    if not isinstance(value, str):
+        return np.datetime64(value, "s")
+    try:
+        return _datetimes([value])[0]
+    except ValueError:
+        raise ConfigError(f"{field}: bad timestamp {value!r}") from None
+
+
 def _timestamps(texts, lines):
     """Parse a timestamp column and require every value on an exact hour."""
     ts = _convert(_datetimes, texts, lines, "timestamp")
@@ -196,6 +210,38 @@ def _timestamps(texts, lines):
 
 def _optional_floats(texts):
     return np.array([float(t) if t else math.nan for t in texts])
+
+
+def _timestamp_texts(timestamps):
+    return [text + "Z" for text in timestamps.astype(str).tolist()]
+
+
+def _float_texts(values):
+    return ["" if v != v else repr(v) for v in values.tolist()]
+
+
+def _write_csv(path, header, n_rows, block_columns):
+    """Write `header`, then the rows of block_columns(rows), one list of
+    field texts per column, for each slice of _BLOCK_ROWS rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            writer.writerows(zip(*block_columns(slice(start, start + _BLOCK_ROWS))))
+
+
+def write_load_csv(path, load):
+    """Write a LoadSeries in the format parse_load_csv reads."""
+    _write_csv(path, LOAD_HEADER, len(load), lambda rows: (
+        _timestamp_texts(load.timestamps[rows]), _float_texts(load.demand_mw[rows])))
+
+
+def write_weather_csv(path, weather):
+    """Write a WeatherTable in the format parse_weather_csv reads; NaN
+    values become empty fields."""
+    _write_csv(path, WEATHER_HEADER, len(weather), lambda rows: (
+        weather.station[rows].tolist(), _timestamp_texts(weather.timestamps[rows]),
+        *map(_float_texts, weather.values[rows].T)))
 
 
 def parse_load_csv(path):
@@ -277,13 +323,12 @@ def parse_weather_csv(path):
 class AlignedFrame:
     """Hourly feature table; data is (N, 13) in FEATURE_COLUMNS order.
 
-    missing marks cells that have not been observed/derived yet. Timestamps
+    A NaN cell has not been observed, imputed or derived yet. Timestamps
     are strictly increasing; rows are hourly except across dropped gaps.
     """
 
     timestamps: np.ndarray
     data: np.ndarray
-    missing: np.ndarray
 
     def __post_init__(self):
         if self.data.shape != (self.timestamps.size, N_FEATURES):
@@ -297,11 +342,16 @@ class AlignedFrame:
     def __len__(self):
         return self.timestamps.size
 
+    @property
+    def missing(self):
+        """(N, 13) bool: the cells of data that are NaN."""
+        return np.isnan(self.data)
+
     def col(self, name):
         return self.data[:, FEATURE_COLUMNS.index(name)]
 
     def copy(self):
-        return AlignedFrame(self.timestamps.copy(), self.data.copy(), self.missing.copy())
+        return AlignedFrame(self.timestamps.copy(), self.data.copy())
 
     def segments(self):
         """(start, end) index ranges of hourly-contiguous rows, end exclusive."""
@@ -357,14 +407,10 @@ def align_hourly(load, weather, stations):
         raise AlignmentError("load and weather time ranges do not overlap")
 
     data = np.full((n, N_FEATURES), np.nan)
-    missing = np.ones((n, N_FEATURES), dtype=bool)
     data[:, DEMAND] = load.demand_mw
-    missing[:, DEMAND] = False
     have = counts > 0
-    means = np.where(have, sums / np.where(have, counts, 1.0), np.nan)
-    data[:, 2:8] = means
-    missing[:, 2:8] = ~have
-    return AlignedFrame(load.timestamps.copy(), data, missing)
+    data[:, 2:8] = np.where(have, sums / np.where(have, counts, 1.0), np.nan)
+    return AlignedFrame(load.timestamps.copy(), data)
 
 
 def impute_linear(frame, max_gap_hours=6):
@@ -379,16 +425,14 @@ def impute_linear(frame, max_gap_hours=6):
     reports = []
     for col_name in WEATHER_COLUMNS:
         ci = FEATURE_COLUMNS.index(col_name)
-        if out.missing[:, ci].all():
+        if np.isnan(out.data[:, ci]).all():
             raise ImputationError(f"column {col_name!r} is entirely missing")
         for seg_start, seg_end in frame.segments():
-            miss = out.missing[seg_start:seg_end, ci]
             vals = out.data[seg_start:seg_end, ci]
-            runs = _missing_runs(miss)
-            for run_start, run_len in runs:
+            for run_start, run_len in _missing_runs(np.isnan(vals)):
                 left = run_start - 1
                 right = run_start + run_len
-                if left < 0 or right >= miss.size:
+                if left < 0 or right >= vals.size:
                     reports.append(GapReport(
                         col_name, frame.timestamps[seg_start + run_start],
                         run_len, "boundary"))
@@ -401,7 +445,6 @@ def impute_linear(frame, max_gap_hours=6):
                 span = right - left
                 frac = (np.arange(1, run_len + 1)) / span
                 vals[run_start:right] = vals[left] + (vals[right] - vals[left]) * frac
-                miss[run_start:right] = False
     return out, reports
 
 
@@ -422,14 +465,10 @@ def encode_calendar(frame, holidays):
     dow = (days.astype("int64") + 3) % 7 + 1  # epoch day 0 was a Thursday
     months = (ts.astype("datetime64[M]").astype("int64") % 12) + 1
     weekend = (dow >= 6).astype(float)
-    if holidays:
-        holiday_arr = np.array(sorted(holidays), dtype="datetime64[D]")
-        is_holiday = np.isin(days, holiday_arr).astype(float)
-    else:
-        is_holiday = np.zeros(len(out))
+    holiday_arr = np.array(sorted(holidays), dtype="datetime64[D]")
+    is_holiday = np.isin(days, holiday_arr).astype(float)
     cal = np.column_stack([hour, dow, months, weekend, is_holiday]).astype(float)
     out.data[:, 8:13] = cal
-    out.missing[:, 8:13] = False
     return out
 
 
@@ -446,49 +485,44 @@ def add_lag_feature(frame):
             continue
         sl = slice(seg_start, seg_end)
         data = frame.data[sl].copy()
-        missing = frame.missing[sl].copy()
         data[WINDOW_HOURS:, LAG24] = data[:-WINDOW_HOURS, DEMAND]
-        missing[WINDOW_HOURS:, LAG24] = False
-        keep_chunks.append((frame.timestamps[sl][WINDOW_HOURS:],
-                            data[WINDOW_HOURS:], missing[WINDOW_HOURS:]))
+        keep_chunks.append((frame.timestamps[sl][WINDOW_HOURS:], data[WINDOW_HOURS:]))
     if not keep_chunks:
         raise WindowError("no segment is longer than 24 hours; cannot build lag feature")
     ts = np.concatenate([c[0] for c in keep_chunks])
     data = np.concatenate([c[1] for c in keep_chunks])
-    missing = np.concatenate([c[2] for c in keep_chunks])
     dropped = len(frame) - ts.size
-    return AlignedFrame(ts, data, missing), dropped
+    return AlignedFrame(ts, data), dropped
 
 
 def drop_unfilled_rows(frame):
     """Remove rows that still have missing observed values (weather or
     demand); returns (new_frame, dropped_timestamps)."""
     observed_cols = [FEATURE_COLUMNS.index(c) for c in ("demand_mw",) + WEATHER_COLUMNS]
-    bad = frame.missing[:, observed_cols].any(axis=1)
+    bad = np.isnan(frame.data[:, observed_cols]).any(axis=1)
     if not bad.any():
         return frame, np.array([], dtype="datetime64[s]")
     keep = ~bad
-    return (
-        AlignedFrame(frame.timestamps[keep], frame.data[keep], frame.missing[keep]),
-        frame.timestamps[bad],
-    )
+    return AlignedFrame(frame.timestamps[keep], frame.data[keep]), frame.timestamps[bad]
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronologically ordered, disjoint half-open [start, end) ranges."""
+    """Chronologically ordered, disjoint half-open [start, end) ranges.
+
+    A bound is a np.datetime64 or a string read by the CSV timestamp rule.
+    """
 
     train: tuple
     val: tuple
     test: tuple
 
     def __post_init__(self):
-        ranges = [self.train, self.val, self.test]
         parsed = []
-        for lo, hi in ranges:
-            lo = lo.rstrip("Z") if isinstance(lo, str) else lo
-            hi = hi.rstrip("Z") if isinstance(hi, str) else hi
-            lo, hi = np.datetime64(lo, "s"), np.datetime64(hi, "s")
+        for tag in ("train", "val", "test"):
+            lo, hi = getattr(self, tag)
+            lo = parse_timestamp(lo, f"{tag} start")
+            hi = parse_timestamp(hi, f"{tag} end")
             if not lo < hi:
                 raise WindowError(f"empty split range [{lo}, {hi})")
             parsed.append((lo, hi))
@@ -605,7 +639,7 @@ def make_windows(frame, standardizer, split):
     Windows never cross split boundaries or hourly gaps. Raises WindowError
     if any split produces no window.
     """
-    if frame.missing.any():
+    if np.isnan(frame.data).any():
         raise WindowError("frame must be fully imputed before windowing")
     std_data = standardizer.transform(frame.data)
     out = {}

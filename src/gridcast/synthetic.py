@@ -7,7 +7,7 @@ inject temperature excursions with correlated wind/precipitation spikes so
 tail-regime behavior is constructible and exactly testable.
 
 Everything is deterministic per seed; emitting the same config twice yields
-byte-identical CSVs.
+byte-identical CSVs, which gridcast.ingest writes.
 """
 
 import datetime as dt
@@ -27,7 +27,8 @@ class ExtremeEvent:
     """Temperature excursion with wind/precip multipliers.
 
     The offset ramps up over ramp_h hours, holds, and ramps down over
-    ramp_h hours; duration_h counts the full-offset plateau.
+    ramp_h hours; duration_h counts the full-offset plateau. start is read
+    by the CSV timestamp rule (ingest.parse_timestamp).
     """
 
     start: str
@@ -36,6 +37,14 @@ class ExtremeEvent:
     wind_mult: float = 1.0
     precip_mult: float = 1.0
     ramp_h: int = 3
+
+    def __post_init__(self):
+        self.start_time  # a bad start raises ConfigError here
+
+    @property
+    def start_time(self):
+        """start as datetime64[s]."""
+        return ingest.parse_timestamp(self.start, "ExtremeEvent.start")
 
     def to_dict(self):
         return {
@@ -94,12 +103,21 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.years < 1:
             raise ConfigError("years must be >= 1")
+        try:
+            start_date = dt.date.fromisoformat(self.start)
+            start_date.replace(year=start_date.year + self.years)  # generate's end date
+        except (TypeError, ValueError):
+            start_date = None
+        if start_date is None or start_date.isoformat() != self.start:
+            raise ConfigError(f"start must be an ISO date (YYYY-MM-DD) whose day exists "
+                              f"{self.years} years later too, got {self.start!r}")
+        if min(self.t_noise_c, self.station_noise_c, self.noise_std_mw) < 0:
+            raise ConfigError("noise scales must be >= 0")
         if len(self.stations) != len(self.station_offsets_c):
             raise ConfigError("one temperature offset per station required")
         if self.events is None:
-            start_year = int(self.start[:4])
             object.__setattr__(
-                self, "events", default_event_schedule(start_year, self.years))
+                self, "events", default_event_schedule(start_date.year, self.years))
 
     def to_dict(self):
         d = {
@@ -164,8 +182,7 @@ def _event_weight(timestamps, events):
     t0 = timestamps[0]
     hour_index = ((timestamps - t0) / np.timedelta64(1, "h")).astype(int)
     for ev in events:
-        start = np.datetime64(ev.start.rstrip("Z"), "s")
-        s = int((start - t0) / np.timedelta64(1, "h"))
+        s = int((ev.start_time - t0) / np.timedelta64(1, "h"))
         ramp, dur = ev.ramp_h, ev.duration_h
         total = 2 * ramp + dur
         rel = hour_index - s
@@ -207,9 +224,8 @@ def generate(config):
     """Build the full synthetic dataset in memory."""
     start = np.datetime64(config.start + "T00:00:00", "s")
     start_date = dt.date.fromisoformat(config.start)
-    end_date = dt.date(start_date.year + config.years, start_date.month, start_date.day)
-    n = int((np.datetime64(end_date) - np.datetime64(start_date))
-            / np.timedelta64(1, "D")) * 24
+    end_date = start_date.replace(year=start_date.year + config.years)
+    n = (end_date - start_date).days * 24
     timestamps = start + np.arange(n) * np.timedelta64(3600, "s")
 
     doy = (timestamps.astype("datetime64[D]")
@@ -221,15 +237,14 @@ def generate(config):
     rng_t = seeded_rng(config.seed, "synthetic", "temperature")
     seasonal = -config.t_seasonal_amp_c * np.cos(2 * np.pi * (doy - 15) / 365.25)
     diurnal_t = config.t_diurnal_amp_c * np.sin(2 * np.pi * (hour - 9) / 24.0)
-    noise_t = _ar1(rng_t, n, config.t_ar, config.t_noise_c) if config.t_noise_c > 0 else np.zeros(n)
+    noise_t = _ar1(rng_t, n, config.t_ar, config.t_noise_c)
     weight, signed_offset = _event_weight(timestamps, config.events)
     base_temp = config.t_mean_c + seasonal + diurnal_t + noise_t + signed_offset
 
     rng_st = seeded_rng(config.seed, "synthetic", "stations")
     station_temps = {}
     for name, offset in zip(config.stations, config.station_offsets_c):
-        jitter = (rng_st.normal(0.0, config.station_noise_c, size=n)
-                  if config.station_noise_c > 0 else np.zeros(n))
+        jitter = rng_st.normal(0.0, config.station_noise_c, size=n)
         station_temps[name] = base_temp + offset + jitter
     mean_temp = np.mean(list(station_temps.values()), axis=0)
 
@@ -261,8 +276,7 @@ def generate(config):
         - config.weekend_dip_mw * weekend
         - config.holiday_dip_mw * is_holiday
         + config.wind_coupling_mw * wind * chill_factor
-        + (rng_d.normal(0.0, config.noise_std_mw, size=n)
-           if config.noise_std_mw > 0 else 0.0)
+        + rng_d.normal(0.0, config.noise_std_mw, size=n)
     )
     lo, hi = config.demand_clip_mw
     n_clipped = int(np.sum((demand < lo) | (demand > hi)))
@@ -298,28 +312,20 @@ def generate(config):
 def write_dataset(config, out_dir):
     """Generate and write load.csv, weather.csv, holidays.txt, manifest.json.
 
-    Returns the manifest dict.
+    ingest writes the CSVs; weather rows run station by station in config
+    order, each over every hour. Returns the manifest dict.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate(config)
-    fmt = ingest.float_repr
 
     load_path = out_dir / "load.csv"
-    with open(load_path, "w", newline="") as fh:
-        fh.write("timestamp_utc,demand_mw\n")
-        for ts, mw in zip(data.timestamps, data.demand_mw):
-            fh.write(f"{ingest.format_timestamp(ts)},{fmt(mw)}\n")
+    ingest.write_load_csv(load_path, ingest.LoadSeries(data.timestamps, data.demand_mw))
 
     weather_path = out_dir / "weather.csv"
-    with open(weather_path, "w", newline="") as fh:
-        fh.write("station,timestamp_utc,temp_c,feels_like_c,humidity_pct,"
-                 "wind_ms,precip_mm,wx_code\n")
-        for name in config.stations:
-            vals = data.station_weather[name]
-            for i in range(data.timestamps.size):
-                cells = ["" if np.isnan(v) else fmt(v) for v in vals[i]]
-                fh.write(f"{name},{ingest.format_timestamp(data.timestamps[i])},"
-                         + ",".join(cells) + "\n")
+    ingest.write_weather_csv(weather_path, ingest.WeatherTable(
+        np.repeat(np.array(config.stations), data.timestamps.size),
+        np.tile(data.timestamps, len(config.stations)),
+        np.concatenate([data.station_weather[name] for name in config.stations])))
 
     holiday_path = out_dir / "holidays.txt"
     holiday_path.write_text(

@@ -1,9 +1,10 @@
 """Row-by-row reference versions of the columnar code in gridcast.ingest.
 
 The CSV parsers here read one row at a time and check one field at a time,
-in row order; `missing_runs` and `make_windows` are the plain loops. The
-property tests in test_ingest_properties.py hold the columnar code to the
-same results. The timestamp rule is the current one: a trailing Z is the
+in row order; the CSV writers format and write one row at a time, with the
+header text spelled out; `missing_runs` and `make_windows` are the plain
+loops. The property tests in test_ingest_properties.py hold the columnar
+code to the same results. The timestamp rule is the current one: a trailing Z is the
 only UTC offset accepted, and an empty or NaT field is a bad timestamp.
 """
 
@@ -139,6 +140,22 @@ def parse_weather_csv(path):
         np.array(timestamps, dtype="datetime64[s]"),
         np.array(rows, dtype=float),
     )
+
+
+def write_load_csv(path, load):
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp_utc,demand_mw\n")
+        for ts, mw in zip(load.timestamps, load.demand_mw):
+            fh.write(f"{format_timestamp(ts)},{float(mw)!r}\n")
+
+
+def write_weather_csv(path, weather):
+    with open(path, "w", newline="") as fh:
+        fh.write("station,timestamp_utc,temp_c,feels_like_c,humidity_pct,"
+                 "wind_ms,precip_mm,wx_code\n")
+        for station, ts, vals in zip(weather.station, weather.timestamps, weather.values):
+            cells = ["" if np.isnan(v) else repr(float(v)) for v in vals]
+            fh.write(f"{station},{format_timestamp(ts)}," + ",".join(cells) + "\n")
 
 
 def missing_runs(miss):

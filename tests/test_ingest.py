@@ -6,6 +6,7 @@ import pytest
 from gridcast import ingest
 from gridcast.errors import (
     AlignmentError,
+    ConfigError,
     CsvParseError,
     ImputationError,
     OrderingError,
@@ -23,7 +24,7 @@ def hours(start, n):
 def write_load_csv(path, timestamps, demand):
     lines = ["timestamp_utc,demand_mw"]
     for ts, mw in zip(timestamps, demand):
-        lines.append(f"{ingest.format_timestamp(ts)},{ingest.float_repr(mw)}")
+        lines.append(f"{ingest.format_timestamp(ts)},{repr(float(mw))}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -175,7 +176,7 @@ class TestAlign:
     def test_frame_shape_mismatch_is_a_shape_error(self):
         ts = hours("2024-01-01T00:00:00", 3)
         with pytest.raises(ShapeError, match="frame data"):
-            ingest.AlignedFrame(ts, np.zeros((3, 12)), np.zeros((3, 12), dtype=bool))
+            ingest.AlignedFrame(ts, np.zeros((3, 12)))
 
     def test_three_station_mean(self):
         load = load_series("2024-01-01T00:00:00", [40000.0])
@@ -215,19 +216,15 @@ def frame_with_temps(temps, start="2024-01-01T00:00:00"):
     n = temps.size
     load = load_series(start, np.full(n, 40000.0))
     data = np.full((n, ingest.N_FEATURES), np.nan)
-    missing = np.ones((n, ingest.N_FEATURES), dtype=bool)
     data[:, ingest.DEMAND] = load.demand_mw
-    missing[:, ingest.DEMAND] = False
     data[:, 2] = temps
-    missing[:, 2] = np.isnan(temps)
     idx = np.arange(n, dtype=float)
     data[:, 3] = np.where(np.isnan(temps), 0.0, temps - 1.0)  # feels-like
     data[:, 4] = 40.0 + (idx % 7) * 5.0      # humidity
     data[:, 5] = idx % 5                     # wind
     data[:, 6] = (idx % 11) / 10.0           # precip
     data[:, 7] = idx % 3                     # wx code
-    missing[:, 3:8] = False
-    return ingest.AlignedFrame(load.timestamps, data, missing)
+    return ingest.AlignedFrame(load.timestamps, data)
 
 
 class TestImpute:
@@ -462,8 +459,7 @@ class TestLag:
         # remove 3 hours in the middle -> two segments
         keep = np.ones(120, dtype=bool)
         keep[60:63] = False
-        frame = ingest.AlignedFrame(
-            frame.timestamps[keep], frame.data[keep], frame.missing[keep])
+        frame = ingest.AlignedFrame(frame.timestamps[keep], frame.data[keep])
         frame = ingest.encode_calendar(frame, set())
         out, dropped = ingest.add_lag_feature(frame)
         assert dropped == 48  # 24 warm-up rows per segment
@@ -471,6 +467,29 @@ class TestLag:
 
 
 class TestSplitSpec:
+    @staticmethod
+    def spec(train_start):
+        return ingest.SplitSpec(
+            train=(train_start, "2024-02-01T00:00:00Z"),
+            val=("2024-02-01T00:00:00Z", "2024-03-01T00:00:00Z"),
+            test=("2024-03-01T00:00:00Z", "2024-04-01T00:00:00Z"),
+        )
+
+    @pytest.mark.parametrize("start", [
+        "2024-01-01T00:00:00-05:00", "2024-01-01T00:00:00+00:00",
+        "2024-01-01T00:00:00ZZZ", "2024-13-01", "", "NaT",
+    ])
+    def test_bound_outside_the_csv_timestamp_rule_is_a_config_error(self, start):
+        with pytest.raises(ConfigError, match="train start"):
+            self.spec(start)
+
+    def test_date_text_and_datetime64_bounds_are_accepted(self):
+        forms = ["2024-01-01", "2024-01-01T00:00:00", "2024-01-01T00:00:00Z",
+                 np.datetime64("2024-01-01"), np.datetime64("2024-01-01T00:00:00", "s")]
+        specs = [self.spec(start) for start in forms]
+        assert all(spec == specs[0] for spec in specs)
+        assert specs[0].train[0] == np.datetime64("2024-01-01T00:00:00", "s")
+
     def test_overlapping_ranges_rejected(self):
         with pytest.raises(WindowError):
             ingest.SplitSpec(

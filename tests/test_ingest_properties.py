@@ -1,6 +1,8 @@
 """The columnar ingest code against its row-by-row reference (ingest_reference),
-plus invariants of windowing and imputation, on generated inputs."""
+plus invariants of the CSV round trip, windowing, imputation and
+standardizing, on generated inputs."""
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -238,6 +240,102 @@ def test_parsers_match_reference_on_a_synthetic_year(tmp_path):
                        ingest.parse_weather_csv(tmp_path / "weather.csv"))
 
 
+# the floats hypothesis draws anyway, made certain: signed zero and the extremes
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308])
+ANY_FLOAT = st.floats() | EDGE_FLOATS  # NaN of any payload and infinities too
+FINITE_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+
+
+@st.composite
+def load_series(draw, min_rows, demand):
+    n = draw(st.integers(min_rows, 40))
+    steps = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=np.int64)
+    return ingest.LoadSeries(T0 + np.cumsum(steps) * ingest.HOUR,
+                             np.array(draw(st.lists(demand, min_size=n, max_size=n)), dtype=float))
+
+
+@st.composite
+def weather_tables(draw, min_rows, fields):
+    """A WeatherTable with unique (station, hour) keys in drawn order; value
+    column j is drawn from fields[j]."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(STATIONS), st.integers(0, 60)),
+                         min_size=min_rows, max_size=40, unique=True))
+    values = [[draw(field) for field in fields] for _ in keys]
+    return ingest.WeatherTable(
+        np.array([station for station, _ in keys], dtype=str),
+        T0 + np.array([hour for _, hour in keys], dtype=np.int64) * ingest.HOUR,
+        np.array(values, dtype=float).reshape(len(keys), len(ingest.WEATHER_COLUMNS)))
+
+
+def csv_bytes(write, table, block_rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "out.csv"
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            write(path, table)
+        return path.read_bytes()
+
+
+@given(load=load_series(0, FINITE_FLOAT), block_rows=st.integers(1, 9))
+def test_load_writer_matches_reference(load, block_rows):
+    assert (csv_bytes(ingest.write_load_csv, load, block_rows)
+            == csv_bytes(ref.write_load_csv, load, block_rows))
+
+
+@given(weather=weather_tables(0, [ANY_FLOAT] * 6), block_rows=st.integers(1, 9))
+def test_weather_writer_matches_reference(weather, block_rows):
+    assert (csv_bytes(ingest.write_weather_csv, weather, block_rows)
+            == csv_bytes(ref.write_weather_csv, weather, block_rows))
+
+
+def parse_written(kind, table, block_rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "out.csv"
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            getattr(ingest, f"write_{kind}_csv")(path, table)
+            return getattr(ingest, f"parse_{kind}_csv")(path)
+
+
+POSITIVE_DEMAND = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.just(5e-324)
+
+
+def valid_field(lo, hi):
+    """NaN (an empty field), signed zero where zero is allowed, or a finite
+    value in [lo, hi]."""
+    finite = st.floats(None if lo == -math.inf else lo, None if hi == math.inf else hi,
+                       allow_nan=False, allow_infinity=False)
+    return st.just(math.nan) | (st.just(-0.0) if lo <= 0 <= hi else st.nothing()) | finite
+
+
+VALID_WEATHER = ([valid_field(lo, hi) for _, lo, hi in ingest._WEATHER_FIELDS[:-1]]
+                 + [st.sampled_from([math.nan, -0.0] + sorted(map(float, ingest.WX_CODES.values())))])
+
+
+@given(load=load_series(1, POSITIVE_DEMAND), block_rows=st.integers(1, 9))
+def test_load_csv_round_trips_bit_for_bit(load, block_rows):
+    assert_same_arrays(load, parse_written("load", load, block_rows))
+
+
+@given(weather=weather_tables(1, VALID_WEATHER), block_rows=st.integers(1, 9))
+def test_weather_csv_round_trips_bit_for_bit(weather, block_rows):
+    assert_same_arrays(weather, parse_written("weather", weather, block_rows))
+
+
+def test_synthetic_year_parses_back_to_generate(tmp_path):
+    cfg = synthetic.SyntheticConfig(years=1, seed=2, missing_rate=0.1)
+    data = synthetic.generate(cfg)
+    synthetic.write_dataset(cfg, tmp_path)
+    load = ingest.parse_load_csv(tmp_path / "load.csv")
+    assert load.timestamps.tobytes() == data.timestamps.tobytes()
+    assert load.demand_mw.tobytes() == data.demand_mw.tobytes()
+    weather = ingest.parse_weather_csv(tmp_path / "weather.csv")
+    for name in cfg.stations:
+        rows = weather.station == name
+        assert weather.timestamps[rows].tobytes() == data.timestamps.tobytes()
+        # bytes compare NaN positions too
+        assert weather.values[rows].tobytes() == data.station_weather[name].tobytes()
+    assert np.isnan(weather.values).any()
+
+
 @st.composite
 def gappy_frames(draw):
     """A fully observed frame over hourly timestamps with gaps, a
@@ -251,8 +349,7 @@ def gappy_frames(draw):
     ts = T0 + np.array(hours) * ingest.HOUR
     n = ts.size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    frame = ingest.AlignedFrame(ts, rng.normal(size=(n, ingest.N_FEATURES)),
-                                np.zeros((n, ingest.N_FEATURES), dtype=bool))
+    frame = ingest.AlignedFrame(ts, rng.normal(size=(n, ingest.N_FEATURES)))
     standardizer = ingest.Standardizer(rng.normal(size=ingest.N_FEATURES),
                                        rng.uniform(0.5, 2.0, ingest.N_FEATURES), "train")
     # train [0, c1), val [c1 + g1, c2), test [c2 + g2, end): back to back or apart
@@ -309,7 +406,7 @@ def frames_with_holes(draw):
     missing[:, 2:8] = rng.random((n, 6)) < rate
     missing[0, 2:8] = False  # no column entirely missing
     data[missing] = np.nan
-    return ingest.AlignedFrame(ts, data, missing), draw(st.integers(1, 8))
+    return ingest.AlignedFrame(ts, data), draw(st.integers(1, 8))
 
 
 @given(frames_with_holes())
@@ -326,3 +423,24 @@ def test_impute_linear_is_idempotent(case):
 def test_missing_runs_match_the_loop(flags):
     miss = np.array(flags, dtype=bool)
     assert ingest._missing_runs(miss) == ref.missing_runs(miss)
+
+
+@given(n=st.integers(2, 50), seed=st.integers(0, 2**32 - 1),
+       means=st.lists(st.floats(-1e5, 1e5), min_size=7, max_size=7),
+       stds=st.lists(st.floats(1e-2, 1e4), min_size=7, max_size=7))
+def test_standardizer_inverse_recovers_data_and_passes_other_columns(n, seed, means, stds):
+    rng = np.random.default_rng(seed)
+    data = np.empty((n, ingest.N_FEATURES))
+    data[:, :7] = np.array(means) + np.array(stds) * rng.normal(size=(n, 7))
+    data[:, 7:] = rng.integers(0, 24, size=(n, ingest.N_FEATURES - 7))  # wx_code, calendar
+    ts = T0 + np.arange(n) * ingest.HOUR
+    end = ts[-1] + ingest.HOUR
+    split = ingest.SplitSpec((ts[0], end), (end, end + ingest.HOUR),
+                             (end + ingest.HOUR, end + 2 * ingest.HOUR))
+    std = ingest.fit_standardizer(ingest.AlignedFrame(ts, data), split)
+    z = std.transform(data)
+    assert z[:, 7:].tobytes() == data[:, 7:].tobytes()
+    # four roundings (x - mean, / std, * std, + mean) stay within
+    # 2 eps (|x| + |mean|); allow twice that
+    tol = 4 * np.finfo(float).eps * (np.abs(data) + np.abs(std.mean))
+    assert (np.abs(std.inverse(z) - data) <= tol).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridcast import ingest, physics, synthetic
+from gridcast.errors import ConfigError
 
 
 def noiseless_config(**overrides):
@@ -135,3 +136,23 @@ def test_default_schedule_events_never_overlap():
     hours = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(17_544) * np.timedelta64(3600, "s")
     active = sum((synthetic._event_weight(hours, (ev,))[0] > 0).astype(int) for ev in cfg.events)
     assert active.max() == 1
+
+
+@pytest.mark.parametrize("start", [
+    "2024-03-01T00:00:00+02:00", "2024-03-01T00:00:00ZZ", "2024-03-32", "first of March",
+])
+def test_event_start_outside_the_csv_timestamp_rule_is_a_config_error(start):
+    with pytest.raises(ConfigError, match="ExtremeEvent.start"):
+        synthetic.ExtremeEvent(start, 10, -10.0)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    (dict(start="2024-13-01"), "start"),
+    (dict(start="2024-1-1"), "start"),
+    (dict(start="2024-01-01T00:00:00"), "start"),
+    (dict(start="2024-02-29", years=1), "start"),  # no 2025-02-29 to end on
+    (dict(noise_std_mw=-1.0), "noise"),
+])
+def test_bad_config_is_a_config_error(overrides, field):
+    with pytest.raises(ConfigError, match=field):
+        synthetic.SyntheticConfig(**overrides)
