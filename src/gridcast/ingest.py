@@ -12,12 +12,18 @@ Stages (each pure, composable):
 The canonical feature order is FEATURE_COLUMNS; the first seven columns are
 continuous and get standardized, the rest are plain numeric encodings.
 NaN is the frame's only missing marker; AlignedFrame.missing is np.isnan(data).
+calendar_columns is the one definition of the five calendar encodings;
+encode_calendar and the synthetic generator both take them from it.
 
-CSV formats (version 1, rejected if the header differs):
+File formats, each with its writer and its reader here (CSV version 1,
+rejected if the header differs):
 
-    load:    timestamp_utc,demand_mw
-    weather: station,timestamp_utc,temp_c,feels_like_c,humidity_pct,wind_ms,precip_mm,wx_code
-    holidays: one ISO date per line, '#' comments allowed
+    load CSV      write_load_csv / parse_load_csv
+                  timestamp_utc,demand_mw
+    weather CSV   write_weather_csv / parse_weather_csv
+                  station,timestamp_utc,temp_c,feels_like_c,humidity_pct,wind_ms,precip_mm,wx_code
+    holidays      write_holiday_file / parse_holiday_file
+                  one ISO date per line; the reader skips blank lines and '#' comments
 
 Timestamps are ISO-8601 UTC on exact hours, e.g. 2024-01-06T03:00:00Z.
 The trailing Z is optional on input and emitted on output; any other UTC
@@ -455,20 +461,23 @@ def _missing_runs(miss):
     return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
-def encode_calendar(frame, holidays):
-    """Fill hour-of-day [0,23], day-of-week [1,7] (Monday=1), month [1,12],
+def calendar_columns(timestamps, holidays):
+    """(N, 5) calendar columns of datetime64 timestamps, in FEATURE_COLUMNS
+    order: hour-of-day [0,23], day-of-week [1,7] (Monday=1), month [1,12],
     weekend and holiday flags. `holidays` is a set of datetime.date."""
-    out = frame.copy()
-    ts = out.timestamps
-    days = ts.astype("datetime64[D]")
-    hour = (ts - days).astype("timedelta64[h]").astype(int)
+    days = timestamps.astype("datetime64[D]")
+    hour = (timestamps - days).astype("timedelta64[h]").astype(int)
     dow = (days.astype("int64") + 3) % 7 + 1  # epoch day 0 was a Thursday
-    months = (ts.astype("datetime64[M]").astype("int64") % 12) + 1
-    weekend = (dow >= 6).astype(float)
-    holiday_arr = np.array(sorted(holidays), dtype="datetime64[D]")
-    is_holiday = np.isin(days, holiday_arr).astype(float)
-    cal = np.column_stack([hour, dow, months, weekend, is_holiday]).astype(float)
-    out.data[:, 8:13] = cal
+    months = (timestamps.astype("datetime64[M]").astype("int64") % 12) + 1
+    weekend = dow >= 6
+    is_holiday = np.isin(days, np.array(sorted(holidays), dtype="datetime64[D]"))
+    return np.column_stack([hour, dow, months, weekend, is_holiday]).astype(float)
+
+
+def encode_calendar(frame, holidays):
+    """Fill the calendar columns of a copy of frame (see calendar_columns)."""
+    out = frame.copy()
+    out.data[:, 8:13] = calendar_columns(out.timestamps, holidays)
     return out
 
 
@@ -536,17 +545,6 @@ class SplitSpec:
     def range_of(self, tag):
         return {"train": self.train, "val": self.val, "test": self.test}[tag]
 
-    def to_dict(self):
-        return {
-            tag: [format_timestamp(lo), format_timestamp(hi)]
-            for tag, (lo, hi) in
-            [("train", self.train), ("val", self.val), ("test", self.test)]
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(train=tuple(d["train"]), val=tuple(d["val"]), test=tuple(d["test"]))
-
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -558,7 +556,6 @@ class Standardizer:
 
     mean: np.ndarray
     std: np.ndarray
-    fitted_on: str
 
     def transform(self, data):
         return (data - self.mean) / self.std
@@ -575,18 +572,6 @@ class Standardizer:
     @property
     def demand_std(self):
         return float(self.std[DEMAND])
-
-    def to_dict(self):
-        return {
-            "mean": list(map(float, self.mean)),
-            "std": list(map(float, self.std)),
-            "fitted_on": self.fitted_on,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["mean"], dtype=float),
-                   np.asarray(d["std"], dtype=float), d["fitted_on"])
 
 
 def fit_standardizer(frame, split):
@@ -605,7 +590,7 @@ def fit_standardizer(frame, split):
         if s == 0.0:
             raise StandardizerError(f"column {name!r} has zero variance on train")
         std[ci] = s
-    return Standardizer(mean, std, fitted_on="train")
+    return Standardizer(mean, std)
 
 
 @dataclass(frozen=True)
@@ -688,6 +673,13 @@ def build_frame(load, weather, stations, holidays, max_gap_hours=6):
         "lag_warmup_rows_dropped": lag_dropped,
     }
     return frame, report
+
+
+def write_holiday_file(path, holidays):
+    """Write a set of datetime.date in the format parse_holiday_file reads:
+    one ISO date per line, in date order."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{d.isoformat()}\n" for d in sorted(holidays))
 
 
 def parse_holiday_file(path):

@@ -7,22 +7,11 @@ Both penalties are squared hinges, so they are C^1 and their gradient at the
 hinge boundary is exactly zero.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigError
-
-logger = logging.getLogger(__name__)
-
-# Pre-calibrated coefficients for the ERCOT footprint; used as the reference
-# envelope for synthetic data generation and spot checks.
-REFERENCE_ENVELOPE_COEFFS = {
-    "a1": 47.2, "b1": -1560.6, "c1": 51230.0,
-    "a2": 52.4, "b2": -864.5, "c2": 35523.9,
-    "t0_c": 18.5,
-}
 
 
 @dataclass(frozen=True)
@@ -50,19 +39,11 @@ class ParabolicEnvelope:
         if not np.isfinite(self.t0_c):
             raise CalibrationError(f"breakpoint must be finite, got {self.t0_c}")
 
-    def to_dict(self):
-        return {
-            "a1": self.a1, "b1": self.b1, "c1": self.c1,
-            "a2": self.a2, "b2": self.b2, "c2": self.c2,
-            "t0_c": self.t0_c,
-        }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
-REFERENCE_ENVELOPE = ParabolicEnvelope(**REFERENCE_ENVELOPE_COEFFS)
+# Pre-calibrated for the ERCOT footprint; the reference envelope for synthetic
+# data generation and spot checks.
+REFERENCE_ENVELOPE = ParabolicEnvelope(
+    a1=47.2, b1=-1560.6, c1=51230.0, a2=52.4, b2=-864.5, c2=35523.9, t0_c=18.5)
 
 
 def envelope_demand(env, t_c):
@@ -146,21 +127,6 @@ class ToleranceModel:
         s = self.sigma(t_c)
         return 2.0 * s
 
-    def to_dict(self):
-        return {
-            "bin_edges_c": list(map(float, self.bin_edges_c)),
-            "sigma_mw": list(map(float, self.sigma_mw)),
-            "sigma_floor_mw": self.sigma_floor_mw,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            bin_edges_c=np.asarray(d["bin_edges_c"], dtype=float),
-            sigma_mw=np.asarray(d["sigma_mw"], dtype=float),
-            sigma_floor_mw=float(d["sigma_floor_mw"]),
-        )
-
 
 def fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30,
                   sigma_floor_mw=1.0):
@@ -234,28 +200,17 @@ def parabolic_penalty(pred_mw, temp_c, env, tol):
     return loss, grad
 
 
-def adjacent_pairs(n):
-    """Index pairs (i-1, i) for a chronologically ordered prediction vector."""
-    if n < 2:
-        return np.empty((0, 2), dtype=int)
-    left = np.arange(n - 1)
-    return np.column_stack([left, left + 1])
+def ramp_penalty(pred_mw, delta_max, pairs):
+    """Mean squared exceedance of |pred_j - pred_i| over delta_max.
 
-
-def ramp_penalty(pred_mw, delta_max, pairs=None):
-    """Mean squared exceedance of |pred_i - pred_{i-1}| over delta_max.
-
-    `pairs` selects which (earlier, later) index pairs are consecutive hours;
-    by default every adjacent pair is. With no pairs the loss is 0 by
-    convention (reported at debug level).
+    `pairs` holds the (i, j) index pairs of predictions for consecutive
+    hours, earlier first; a batch in any order names them explicitly. With
+    no pairs the loss is 0 by convention.
     """
     pred = np.asarray(pred_mw, dtype=float)
-    if pairs is None:
-        pairs = adjacent_pairs(pred.size)
     pairs = np.asarray(pairs, dtype=int)
     grad = np.zeros_like(pred)
     if len(pairs) == 0:
-        logger.debug("ramp penalty over <2 consecutive predictions; loss 0 by convention")
         return 0.0, grad
     d = pred[pairs[:, 1]] - pred[pairs[:, 0]]
     excess = np.abs(d) - delta_max

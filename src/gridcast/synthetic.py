@@ -3,16 +3,18 @@
 Demand is built from the parabolic temperature curve evaluated at the
 three-station mean temperature, plus diurnal/weekly/holiday calendar terms,
 a cold-wind heating term, and Gaussian noise. Scheduled extreme events
-inject temperature excursions with correlated wind/precipitation spikes so
-tail-regime behavior is constructible and exactly testable.
+inject temperature excursions with wind/precipitation multipliers so
+tail-regime behavior is constructible and exactly testable. At each hour
+the one strongest event (the earlier-scheduled one on a tie) sets the event
+weight, the temperature offset and both multipliers.
 
 Everything is deterministic per seed; emitting the same config twice yields
-byte-identical CSVs, which gridcast.ingest writes.
+byte-identical files, all of which gridcast.ingest writes.
 """
 
 import datetime as dt
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,9 +28,11 @@ from .seeding import seeded_rng
 class ExtremeEvent:
     """Temperature excursion with wind/precip multipliers.
 
-    The offset ramps up over ramp_h hours, holds, and ramps down over
-    ramp_h hours; duration_h counts the full-offset plateau. start is read
-    by the CSV timestamp rule (ingest.parse_timestamp).
+    The event's weight ramps up over ramp_h hours, holds at 1, and ramps
+    down over ramp_h hours; duration_h counts the plateau. Where it is the
+    strongest event, weight w adds w * temp_offset_c to the temperature and
+    scales wind and precipitation by 1 + (mult - 1) * w. start is read by
+    the CSV timestamp rule (ingest.parse_timestamp), exact hours included.
     """
 
     start: str
@@ -39,23 +43,19 @@ class ExtremeEvent:
     ramp_h: int = 3
 
     def __post_init__(self):
-        self.start_time  # a bad start raises ConfigError here
+        start = self.start_time  # a bad start raises ConfigError here
+        if start != start.astype("datetime64[h]"):
+            raise ConfigError(f"ExtremeEvent.start: {self.start!r} is not on an exact hour")
+        for name in ("duration_h", "ramp_h"):
+            hours = getattr(self, name)
+            if not (isinstance(hours, (int, np.integer)) and hours >= 0):
+                raise ConfigError(f"ExtremeEvent.{name} must be a whole number of hours "
+                                  f">= 0, got {hours!r}")
 
     @property
     def start_time(self):
         """start as datetime64[s]."""
         return ingest.parse_timestamp(self.start, "ExtremeEvent.start")
-
-    def to_dict(self):
-        return {
-            "start": self.start, "duration_h": self.duration_h,
-            "temp_offset_c": self.temp_offset_c, "wind_mult": self.wind_mult,
-            "precip_mult": self.precip_mult, "ramp_h": self.ramp_h,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def default_event_schedule(start_year, years):
@@ -119,34 +119,6 @@ class SyntheticConfig:
             object.__setattr__(
                 self, "events", default_event_schedule(start_date.year, self.years))
 
-    def to_dict(self):
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "start", "years", "seed", "t_mean_c", "t_seasonal_amp_c",
-                "t_diurnal_amp_c", "t_noise_c", "t_ar", "station_noise_c",
-                "diurnal_amp_mw", "diurnal_peak_hour", "weekend_dip_mw",
-                "holiday_dip_mw", "wind_coupling_mw", "noise_std_mw",
-                "wind_base_ms", "missing_rate",
-            )
-        }
-        d["envelope"] = self.envelope.to_dict()
-        d["station_offsets_c"] = list(self.station_offsets_c)
-        d["demand_clip_mw"] = list(self.demand_clip_mw)
-        d["events"] = [e.to_dict() for e in self.events]
-        d["stations"] = list(self.stations)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["envelope"] = ParabolicEnvelope.from_dict(d["envelope"])
-        d["station_offsets_c"] = tuple(d["station_offsets_c"])
-        d["demand_clip_mw"] = tuple(d["demand_clip_mw"])
-        d["events"] = tuple(ExtremeEvent.from_dict(e) for e in d["events"])
-        d["stations"] = tuple(d["stations"])
-        return cls(**d)
-
 
 @dataclass
 class SyntheticDataset:
@@ -168,39 +140,35 @@ def _ar1(rng, n, rho, sigma):
     return out
 
 
-def _event_weight(timestamps, events):
-    """Event weight and temperature offset per hour.
+def _strongest_event(timestamps, events):
+    """Event weight, temperature offset, wind and precipitation multipliers
+    per hour.
 
-    Each event has a 0..1 raised-ramp profile. Where events overlap, the
-    one with the largest profile at that hour (the earlier-scheduled one on
-    a tie) sets both: the weight is that profile and the offset is it times
-    the event's temp_offset_c, the same max rule as the wind and
-    precipitation multipliers.
+    Each event's profile at r hours after its start is
+    clip(min((r + 1) / (ramp + 1), 1 - (r - ramp - dur + 1) / (ramp + 1)), 0, 1):
+    up over ramp_h hours, 1 over the duration_h plateau, down over ramp_h
+    hours. At each hour the event with the largest profile (the
+    earlier-scheduled one on a tie) sets all four values: weight w is its
+    profile, the offset w * temp_offset_c and each multiplier
+    1 + (mult - 1) * w. An hour no event reaches has w = 0, offset 0 and
+    multipliers 1.
     """
-    w = np.zeros(timestamps.size)
-    signed = np.zeros(timestamps.size)
     t0 = timestamps[0]
-    hour_index = ((timestamps - t0) / np.timedelta64(1, "h")).astype(int)
-    for ev in events:
-        s = int((ev.start_time - t0) / np.timedelta64(1, "h"))
-        ramp, dur = ev.ramp_h, ev.duration_h
-        total = 2 * ramp + dur
-        rel = hour_index - s
-        inside = (rel >= 0) & (rel < total)
-        prof = np.zeros(timestamps.size)
-        r = rel[inside]
-        up = r < ramp
-        down = r >= ramp + dur
-        hold = ~up & ~down
-        vals = np.empty(r.size)
-        vals[up] = (r[up] + 1) / (ramp + 1)
-        vals[hold] = 1.0
-        vals[down] = 1.0 - (r[down] - ramp - dur + 1) / (ramp + 1)
-        prof[inside] = vals
-        stronger = prof > w
-        signed[stronger] = prof[stronger] * ev.temp_offset_c
-        w[stronger] = prof[stronger]
-    return w, signed
+    start, ramp, dur = np.array(
+        [((ev.start_time - t0) // ingest.HOUR, ev.ramp_h, ev.duration_h) for ev in events],
+        dtype=np.int64).reshape(-1, 3).T[:, :, None]
+    r = (timestamps - t0) // ingest.HOUR - start
+    profiles = np.clip(np.minimum((r + 1) / (ramp + 1),
+                                  1.0 - (r - ramp - dur + 1) / (ramp + 1)), 0.0, 1.0)
+    # (events + 1, hours): row 0 is "no event", which argmax picks where
+    # every profile is 0; argmax takes the first of equal maxima
+    profiles = np.vstack([np.zeros(timestamps.size), profiles])
+    strongest = np.argmax(profiles, axis=0)
+    weight = profiles.max(axis=0)
+    temp, wind, precip = np.array(
+        [(0.0, 1.0, 1.0)]
+        + [(ev.temp_offset_c, ev.wind_mult, ev.precip_mult) for ev in events])[strongest].T
+    return weight, weight * temp, 1.0 + (wind - 1.0) * weight, 1.0 + (precip - 1.0) * weight
 
 
 def _feels_like(temp, wind, humidity):
@@ -230,15 +198,14 @@ def generate(config):
 
     doy = (timestamps.astype("datetime64[D]")
            - timestamps.astype("datetime64[Y]")).astype(int)
-    hour = (timestamps - timestamps.astype("datetime64[D]")).astype("timedelta64[h]").astype(int)
-    days = timestamps.astype("datetime64[D]").astype("int64")
-    dow = (days + 3) % 7 + 1
+    holidays = ingest.us_federal_holidays(start_date.year, end_date.year)
+    hour, _, _, weekend, is_holiday = ingest.calendar_columns(timestamps, holidays).T
 
     rng_t = seeded_rng(config.seed, "synthetic", "temperature")
     seasonal = -config.t_seasonal_amp_c * np.cos(2 * np.pi * (doy - 15) / 365.25)
     diurnal_t = config.t_diurnal_amp_c * np.sin(2 * np.pi * (hour - 9) / 24.0)
     noise_t = _ar1(rng_t, n, config.t_ar, config.t_noise_c)
-    weight, signed_offset = _event_weight(timestamps, config.events)
+    weight, signed_offset, wind_mult, precip_mult = _strongest_event(timestamps, config.events)
     base_temp = config.t_mean_c + seasonal + diurnal_t + noise_t + signed_offset
 
     rng_st = seeded_rng(config.seed, "synthetic", "stations")
@@ -249,14 +216,7 @@ def generate(config):
     mean_temp = np.mean(list(station_temps.values()), axis=0)
 
     rng_w = seeded_rng(config.seed, "synthetic", "weather")
-    wind = np.abs(config.wind_base_ms + _ar1(rng_w, n, 0.9, 1.6))
-    wind_mult = np.ones(n)
-    precip_mult = np.ones(n)
-    for ev in config.events:
-        w_ev, _ = _event_weight(timestamps, (ev,))
-        wind_mult = np.maximum(wind_mult, 1.0 + (ev.wind_mult - 1.0) * w_ev)
-        precip_mult = np.maximum(precip_mult, 1.0 + (ev.precip_mult - 1.0) * w_ev)
-    wind = wind * wind_mult
+    wind = np.abs(config.wind_base_ms + _ar1(rng_w, n, 0.9, 1.6)) * wind_mult
     humidity = np.clip(60.0 - 0.8 * (mean_temp - 20.0) + rng_w.normal(0, 6.0, n), 4.0, 100.0)
     burst = rng_w.random(n) < 0.05
     precip = np.where(burst, rng_w.exponential(2.0, n), 0.0) * precip_mult
@@ -265,10 +225,6 @@ def generate(config):
     rng_d = seeded_rng(config.seed, "synthetic", "demand")
     diurnal_d = config.diurnal_amp_mw * np.sin(
         2 * np.pi * (hour - (config.diurnal_peak_hour - 6.0)) / 24.0)
-    weekend = (dow >= 6).astype(float)
-    holidays = ingest.us_federal_holidays(start_date.year, end_date.year)
-    holiday_arr = np.array(sorted(holidays), dtype="datetime64[D]")
-    is_holiday = np.isin(timestamps.astype("datetime64[D]"), holiday_arr).astype(float)
     chill_factor = np.maximum(0.0, 10.0 - mean_temp) / 10.0
     demand = (
         envelope_demand(config.envelope, mean_temp)
@@ -312,8 +268,9 @@ def generate(config):
 def write_dataset(config, out_dir):
     """Generate and write load.csv, weather.csv, holidays.txt, manifest.json.
 
-    ingest writes the CSVs; weather rows run station by station in config
-    order, each over every hour. Returns the manifest dict.
+    ingest writes the data files; weather rows run station by station in
+    config order, each over every hour. The manifest holds the config as
+    asdict gives it. Returns the manifest dict.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate(config)
@@ -328,11 +285,10 @@ def write_dataset(config, out_dir):
         np.concatenate([data.station_weather[name] for name in config.stations])))
 
     holiday_path = out_dir / "holidays.txt"
-    holiday_path.write_text(
-        "".join(f"{d.isoformat()}\n" for d in sorted(data.holidays)))
+    ingest.write_holiday_file(holiday_path, data.holidays)
 
     manifest = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "n_hours": int(data.timestamps.size),
         "n_clipped_demand": data.n_clipped,
         "files": {

@@ -498,15 +498,6 @@ class TestSplitSpec:
                 test=("2024-03-01T00:00:00", "2024-04-01T00:00:00"),
             )
 
-    def test_dict_roundtrip(self):
-        spec = ingest.SplitSpec(
-            train=("2024-01-01T00:00:00", "2024-02-01T00:00:00"),
-            val=("2024-02-01T00:00:00", "2024-03-01T00:00:00"),
-            test=("2024-03-01T00:00:00", "2024-04-01T00:00:00"),
-        )
-        again = ingest.SplitSpec.from_dict(spec.to_dict())
-        assert again == spec
-
 
 def test_build_frame_end_to_end(tmp_path):
     n = 30 * 24

@@ -320,6 +320,14 @@ def test_weather_csv_round_trips_bit_for_bit(weather, block_rows):
     assert_same_arrays(weather, parse_written("weather", weather, block_rows))
 
 
+@given(st.sets(st.dates()))
+def test_holiday_file_round_trips(holidays):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "holidays.txt"
+        ingest.write_holiday_file(path, holidays)
+        assert ingest.parse_holiday_file(path) == holidays
+
+
 def test_synthetic_year_parses_back_to_generate(tmp_path):
     cfg = synthetic.SyntheticConfig(years=1, seed=2, missing_rate=0.1)
     data = synthetic.generate(cfg)
@@ -351,7 +359,7 @@ def gappy_frames(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = ingest.AlignedFrame(ts, rng.normal(size=(n, ingest.N_FEATURES)))
     standardizer = ingest.Standardizer(rng.normal(size=ingest.N_FEATURES),
-                                       rng.uniform(0.5, 2.0, ingest.N_FEATURES), "train")
+                                       rng.uniform(0.5, 2.0, ingest.N_FEATURES))
     # train [0, c1), val [c1 + g1, c2), test [c2 + g2, end): back to back or apart
     end = at + 3
     c1, c2 = sorted(draw(st.lists(st.integers(1, end - 2), min_size=2, max_size=2,

@@ -4,6 +4,8 @@ Expected values here are hand evaluations of the documented formulas or
 Monte-Carlo/finite-difference oracles with fixed seeds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ from gridcast.nn import central_difference_grad, relative_error
 from gridcast.seeding import seeded_rng
 
 ENV = physics.REFERENCE_ENVELOPE
+
+
+def consecutive_pairs(n):
+    """(i, i+1) index pairs: every prediction follows the one before by an hour."""
+    return np.column_stack([np.arange(n - 1), np.arange(1, n)])
 
 
 class TestEnvelopeDemand:
@@ -41,7 +48,7 @@ class TestFitEnvelope:
         temps = rng.uniform(-10, 40, size=400)
         demands = physics.envelope_demand(ENV, temps)
         fit, residuals = physics.fit_envelope(temps, demands, ENV.t0_c)
-        for name, ref in ENV.to_dict().items():
+        for name, ref in dataclasses.asdict(ENV).items():
             assert getattr(fit, name) == pytest.approx(ref, rel=1e-6)
         assert np.max(np.abs(residuals)) < 1e-6
 
@@ -110,12 +117,6 @@ class TestTolerance:
             physics.ToleranceModel(bin_edges_c=np.array(edges), sigma_mw=np.array(sigma),
                                    sigma_floor_mw=1.0)
 
-    def test_roundtrip_dict(self):
-        temps = np.linspace(-5, 35, 200)
-        tol = physics.fit_tolerance(temps, np.sin(temps) * 100, min_bin_count=5)
-        again = physics.ToleranceModel.from_dict(tol.to_dict())
-        np.testing.assert_allclose(again.sigma_mw, tol.sigma_mw)
-
 
 def flat_tolerance(eps_mw):
     """Tolerance model with a constant band half-width, for penalty tests."""
@@ -177,28 +178,28 @@ class TestParabolicPenalty:
 class TestRampPenalty:
     def test_exactly_delta_max_is_zero(self):
         pred = np.array([0.0, 4800.0, 9600.0])
-        loss, grad = physics.ramp_penalty(pred, 4800.0)
+        loss, grad = physics.ramp_penalty(pred, 4800.0, [(0, 1), (1, 2)])
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_single_violation_among_n_pairs(self):
         pred = np.array([0.0, 100.0, 200.0, 200.0 + 150.0 + 50.0])
-        loss, _ = physics.ramp_penalty(pred, 150.0)
+        loss, _ = physics.ramp_penalty(pred, 150.0, [(0, 1), (1, 2), (2, 3)])
         assert loss == pytest.approx(2500.0 / 3.0)
 
     def test_constant_series_zero(self):
-        loss, grad = physics.ramp_penalty(np.full(10, 5.0e4), 100.0)
+        loss, grad = physics.ramp_penalty(np.full(10, 5.0e4), 100.0, consecutive_pairs(10))
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_short_series_convention(self):
-        loss, grad = physics.ramp_penalty(np.array([1.0]), 100.0)
+        loss, grad = physics.ramp_penalty(np.array([1.0]), 100.0, np.empty((0, 2), dtype=int))
         assert loss == 0.0
         assert grad.shape == (1,)
 
     def test_explicit_pairs(self):
         pred = np.array([0.0, 500.0, 0.0])
-        loss_all, _ = physics.ramp_penalty(pred, 100.0)
+        loss_all, _ = physics.ramp_penalty(pred, 100.0, [(0, 1), (1, 2)])
         loss_one, _ = physics.ramp_penalty(pred, 100.0, pairs=[(0, 1)])
         assert loss_all == pytest.approx((400.0**2 + 400.0**2) / 2)
         assert loss_one == pytest.approx(400.0**2)
@@ -211,7 +212,7 @@ class TestCompositeLoss:
         self.target = physics.envelope_demand(ENV, self.temps) + rng.normal(0, 200, 32)
         self.pred = self.target + rng.normal(0, 900, 32)
         self.tol = flat_tolerance(400.0)
-        self.pairs = physics.adjacent_pairs(32)
+        self.pairs = consecutive_pairs(32)
 
     def test_zero_lambdas_reduce_to_mse(self):
         cfg = physics.PhysicsLossConfig(lambda1=0.0, lambda2=0.0, delta_max_mw=100.0)
@@ -225,7 +226,7 @@ class TestCompositeLoss:
         temps = np.full(8, 10.0)
         target = np.full(8, physics.envelope_demand(ENV, 10.0))
         loss, grad, _ = physics.composite_loss(
-            target, target, temps, physics.adjacent_pairs(8), ENV, self.tol, cfg)
+            target, target, temps, consecutive_pairs(8), ENV, self.tol, cfg)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -235,7 +236,7 @@ class TestCompositeLoss:
             self.pred, self.target, self.temps, self.pairs, ENV, self.tol, cfg)
         mse = np.mean((self.pred - self.target) ** 2)
         par, _ = physics.parabolic_penalty(self.pred, self.temps, ENV, self.tol)
-        ramp, _ = physics.ramp_penalty(self.pred, 800.0)
+        ramp, _ = physics.ramp_penalty(self.pred, 800.0, self.pairs)
         assert loss == pytest.approx(mse + 0.1 * par + 0.05 * ramp, abs=1e-12)
         assert parts == {"mse": mse, "parabolic": par, "ramp": ramp}
 
@@ -269,9 +270,10 @@ class TestGradients:
         delta = 250.0
         if not self._away_from_kinks(pred, np.zeros(12), flat_tolerance(1e9), delta):
             pred *= 1.01
-        _, grad = physics.ramp_penalty(pred, delta)
+        pairs = consecutive_pairs(12)
+        _, grad = physics.ramp_penalty(pred, delta, pairs)
         numeric = central_difference_grad(
-            lambda p: physics.ramp_penalty(p, delta)[0], pred, h=1e-3)
+            lambda p: physics.ramp_penalty(p, delta, pairs)[0], pred, h=1e-3)
         assert relative_error(grad, numeric) < 1e-5
 
     @pytest.mark.parametrize("seed", range(20))
@@ -282,7 +284,7 @@ class TestGradients:
         temps = rng.uniform(-5, 35, size=10)
         target = physics.envelope_demand(ENV, temps) + rng.normal(0, 100, 10)
         pred = target + rng.normal(0, 700, 10)
-        pairs = physics.adjacent_pairs(10)
+        pairs = consecutive_pairs(10)
         _, grad, _ = physics.composite_loss(pred, target, temps, pairs, ENV, tol, cfg)
         numeric = central_difference_grad(
             lambda p: physics.composite_loss(p, target, temps, pairs, ENV, tol, cfg)[0],
@@ -305,7 +307,7 @@ def test_quadratic_homogeneity():
     tol = flat_tolerance(350.0)
     cfg = physics.PhysicsLossConfig(lambda1=0.1, lambda2=0.05, delta_max_mw=640.0)
     loss1, _, _ = physics.composite_loss(
-        pred, target, temps, physics.adjacent_pairs(16), ENV, tol, cfg)
+        pred, target, temps, consecutive_pairs(16), ENV, tol, cfg)
 
     # doubling every MW-quantity (pred, target, envelope, band, ramp cap)
     env2 = physics.ParabolicEnvelope(
@@ -313,7 +315,7 @@ def test_quadratic_homogeneity():
     tol2 = flat_tolerance(700.0)
     cfg2 = physics.PhysicsLossConfig(lambda1=0.1, lambda2=0.05, delta_max_mw=1280.0)
     loss2, _, _ = physics.composite_loss(
-        2 * pred, 2 * target, temps, physics.adjacent_pairs(16), env2, tol2, cfg2)
+        2 * pred, 2 * target, temps, consecutive_pairs(16), env2, tol2, cfg2)
     assert loss2 == pytest.approx(4.0 * loss1, rel=1e-12)
 
 

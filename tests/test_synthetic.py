@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +26,24 @@ def noiseless_config(**overrides):
     return synthetic.SyntheticConfig(**base)
 
 
+def test_weekend_and_holiday_dips_follow_the_ingest_calendar():
+    # 2026-07-04 is a Saturday, so both dips also fall on one day
+    cfg = noiseless_config(start="2026-01-01", weekend_dip_mw=1800.0, holiday_dip_mw=1200.0)
+    data = synthetic.generate(cfg)
+    frame = ingest.encode_calendar(
+        ingest.AlignedFrame(data.timestamps,
+                            np.full((data.timestamps.size, ingest.N_FEATURES), np.nan)),
+        data.holidays)
+    weekend, holiday = frame.col("is_weekend"), frame.col("is_holiday")
+    assert weekend.any() and holiday.any() and (weekend * holiday).any()
+    mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
+    envelope = physics.envelope_demand(cfg.envelope, mean_temp)
+    clipped = (data.demand_mw <= cfg.demand_clip_mw[0]) | (data.demand_mw >= cfg.demand_clip_mw[1])
+    assert not clipped.all()
+    np.testing.assert_allclose((data.demand_mw - envelope)[~clipped],
+                               (-1800.0 * weekend - 1200.0 * holiday)[~clipped], atol=1e-9)
+
+
 def test_zero_noise_demand_sits_exactly_on_the_envelope():
     cfg = noiseless_config()
     data = synthetic.generate(cfg)
@@ -39,7 +58,7 @@ def test_envelope_refit_recovers_generating_coefficients():
     data = synthetic.generate(cfg)
     mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
     fit, _ = physics.fit_envelope(mean_temp, data.demand_mw, cfg.envelope.t0_c)
-    for name, ref in cfg.envelope.to_dict().items():
+    for name, ref in dataclasses.asdict(cfg.envelope).items():
         assert getattr(fit, name) == pytest.approx(ref, rel=1e-6)
 
 
@@ -102,13 +121,6 @@ def test_event_weight_profile():
     assert np.all(w[start + 14 :] == 0.0)
 
 
-def test_config_dict_roundtrip():
-    cfg = synthetic.SyntheticConfig(years=2, seed=9, missing_rate=0.01)
-    again = synthetic.SyntheticConfig.from_dict(
-        json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
-
-
 def test_missing_rate_injects_gaps(tmp_path):
     cfg = synthetic.SyntheticConfig(years=1, seed=7, missing_rate=0.02)
     data = synthetic.generate(cfg)
@@ -117,33 +129,64 @@ def test_missing_rate_injects_gaps(tmp_path):
 
 
 def test_nested_event_keeps_the_outer_plateau():
-    # a weak event inside a strong one's plateau: the larger profile sets the offset
+    # a weak event inside a strong one's plateau: the larger profile sets the
+    # offset and both multipliers, even where the inner multipliers are larger
     hours = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(96) * np.timedelta64(3600, "s")
-    outer = synthetic.ExtremeEvent("2024-01-01T10:00:00Z", 48, -10.0)
-    inner = synthetic.ExtremeEvent("2024-01-02T00:00:00Z", 2, -1.0)
-    weight, offset = synthetic._event_weight(hours, (outer, inner))
+    outer = synthetic.ExtremeEvent("2024-01-01T10:00:00Z", 48, -10.0,
+                                   wind_mult=2.0, precip_mult=3.0)
+    inner = synthetic.ExtremeEvent("2024-01-02T00:00:00Z", 2, -1.0,
+                                   wind_mult=5.0, precip_mult=4.0)
+    weight, offset, wind_mult, precip_mult = synthetic._strongest_event(hours, (outer, inner))
     plateau = slice(13, 61)  # outer ramps up over hours 10-12 and holds for 48 h
     np.testing.assert_array_equal(weight[plateau], 1.0)
     np.testing.assert_array_equal(offset[plateau], -10.0)
-    alone_w, alone_offset = synthetic._event_weight(hours, (outer,))
-    np.testing.assert_array_equal(weight, alone_w)
-    np.testing.assert_array_equal(offset, alone_offset)
+    np.testing.assert_array_equal(wind_mult[plateau], 2.0)
+    np.testing.assert_array_equal(precip_mult[plateau], 3.0)
+    alone = synthetic._strongest_event(hours, (outer,))
+    for got, want in zip((weight, offset, wind_mult, precip_mult), alone):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_heat_spell_scales_precipitation_down():
+    # precip_mult < 1 applies as 1 + (precip_mult - 1) * weight, like any other
+    heat = synthetic.default_event_schedule(2024, 1)[1]
+    assert heat.precip_mult < 1.0
+    spell = synthetic.generate(noiseless_config(seed=8, events=(heat,)))
+    calm = synthetic.generate(noiseless_config(seed=8))
+    for name in spell.station_weather:
+        precip = spell.station_weather[name][:, ingest.WEATHER_COLUMNS.index("precip_mm")]
+        base = calm.station_weather[name][:, ingest.WEATHER_COLUMNS.index("precip_mm")]
+        np.testing.assert_array_equal(
+            precip, base * (1.0 + (heat.precip_mult - 1.0) * spell.event_weight))
+        assert (precip < base).any()
 
 
 def test_default_schedule_events_never_overlap():
     # so the overlap rule leaves the default datasets unchanged
     cfg = synthetic.SyntheticConfig(years=2, seed=0)
     hours = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(17_544) * np.timedelta64(3600, "s")
-    active = sum((synthetic._event_weight(hours, (ev,))[0] > 0).astype(int) for ev in cfg.events)
+    active = sum((synthetic._strongest_event(hours, (ev,))[0] > 0).astype(int)
+                 for ev in cfg.events)
     assert active.max() == 1
 
 
 @pytest.mark.parametrize("start", [
     "2024-03-01T00:00:00+02:00", "2024-03-01T00:00:00ZZ", "2024-03-32", "first of March",
+    "2024-03-01T10:59:59Z", "2024-03-01T09:00:01Z",  # not on an exact hour
 ])
 def test_event_start_outside_the_csv_timestamp_rule_is_a_config_error(start):
     with pytest.raises(ConfigError, match="ExtremeEvent.start"):
         synthetic.ExtremeEvent(start, 10, -10.0)
+
+
+@pytest.mark.parametrize("field, hours", [
+    ("duration_h", -1), ("duration_h", 2.5), ("ramp_h", -1), ("ramp_h", 1.5),
+])
+def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
+    # ramp_h = -1 divides by zero in the profile; a fraction would be cut to an int
+    with pytest.raises(ConfigError, match=f"ExtremeEvent.{field}"):
+        synthetic.ExtremeEvent("2024-03-01T00:00:00Z", **{"duration_h": 10, field: hours},
+                               temp_offset_c=-10.0)
 
 
 @pytest.mark.parametrize("overrides, field", [
