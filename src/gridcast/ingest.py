@@ -15,6 +15,12 @@ NaN is the frame's only missing marker; AlignedFrame.missing is np.isnan(data).
 calendar_columns is the one definition of the five calendar encodings;
 encode_calendar and the synthetic generator both take them from it.
 
+Rows one hour apart form an hourly segment; any other step between
+timestamps starts a new one. _hours_into_segment is the one definition of
+that rule, and three stages read it: impute_linear fills no run that begins
+or ends a segment, add_lag_feature drops each segment's first 24 rows, and
+make_windows takes a target only with the 24 rows before it in its segment.
+
 File formats, each with its writer and its reader here (CSV version 1,
 rejected if the header differs):
 
@@ -359,15 +365,6 @@ class AlignedFrame:
     def copy(self):
         return AlignedFrame(self.timestamps.copy(), self.data.copy())
 
-    def segments(self):
-        """(start, end) index ranges of hourly-contiguous rows, end exclusive."""
-        if len(self) == 0:
-            return []
-        breaks = np.flatnonzero(np.diff(self.timestamps) != HOUR)
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks + 1, [len(self)]])
-        return list(zip(starts.tolist(), ends.tolist()))
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -419,45 +416,51 @@ def align_hourly(load, weather, stations):
     return AlignedFrame(load.timestamps.copy(), data)
 
 
+def _hours_into_segment(timestamps):
+    """For each row, the number of rows since the first row of its hourly
+    segment; a segment breaks at every step other than one hour."""
+    pos = np.arange(timestamps.size)
+    seg_start = np.ones(timestamps.size, dtype=bool)
+    seg_start[1:] = np.diff(timestamps) != HOUR
+    return pos - np.maximum.accumulate(np.where(seg_start, pos, 0))
+
+
 def impute_linear(frame, max_gap_hours=6):
     """Fill interior missing runs of length <= max_gap_hours by linear
     interpolation between the flanking observed values, per weather column
-    and per contiguous segment. Longer runs and runs touching a segment
-    boundary are reported, not filled.
+    and within an hourly segment. Longer runs and runs that begin or end a
+    segment are reported, not filled.
 
     Returns (new_frame, [GapReport...]). Idempotent.
     """
     out = frame.copy()
+    seg_start = _hours_into_segment(frame.timestamps) == 0
     reports = []
     for col_name in WEATHER_COLUMNS:
-        ci = FEATURE_COLUMNS.index(col_name)
-        if np.isnan(out.data[:, ci]).all():
+        vals = out.col(col_name)
+        miss = np.isnan(vals)
+        if miss.all():
             raise ImputationError(f"column {col_name!r} is entirely missing")
-        for seg_start, seg_end in frame.segments():
-            vals = out.data[seg_start:seg_end, ci]
-            for run_start, run_len in _missing_runs(np.isnan(vals)):
-                left = run_start - 1
-                right = run_start + run_len
-                if left < 0 or right >= vals.size:
-                    reports.append(GapReport(
-                        col_name, frame.timestamps[seg_start + run_start],
-                        run_len, "boundary"))
-                    continue
-                if run_len > max_gap_hours:
-                    reports.append(GapReport(
-                        col_name, frame.timestamps[seg_start + run_start],
-                        run_len, "exceeds_max_gap"))
-                    continue
-                span = right - left
-                frac = (np.arange(1, run_len + 1)) / span
-                vals[run_start:right] = vals[left] + (vals[right] - vals[left]) * frac
+        for start, length in _missing_runs(miss, seg_start):
+            left, right = start - 1, start + length
+            if seg_start[start] or right == vals.size or seg_start[right]:
+                reason = "boundary"
+            elif length > max_gap_hours:
+                reason = "exceeds_max_gap"
+            else:
+                frac = np.arange(1, length + 1) / (right - left)
+                vals[start:right] = vals[left] + (vals[right] - vals[left]) * frac
+                continue
+            reports.append(GapReport(col_name, frame.timestamps[start], length, reason))
     return out, reports
 
 
-def _missing_runs(miss):
-    """(start, length) of each maximal run of True."""
-    edges = np.diff(np.concatenate([[0], miss.astype(np.int8), [0]]))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+def _missing_runs(miss, seg_start):
+    """(start, length) of each maximal run of True in `miss`, cut where
+    `seg_start` marks the first row of a segment."""
+    cont = miss[1:] & miss[:-1] & ~seg_start[1:]  # row i+1 continues row i's run
+    starts = np.flatnonzero(miss & ~np.concatenate([[False], cont]))
+    ends = np.flatnonzero(miss & ~np.concatenate([cont, [False]])) + 1
     return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
@@ -484,24 +487,16 @@ def encode_calendar(frame, holidays):
 def add_lag_feature(frame):
     """Populate the 24-hour-lagged demand column.
 
-    Within each contiguous segment the lag is an exact 24-row shift of the
+    Within each hourly segment the lag is an exact 24-row shift of the
     demand column; each segment's first 24 rows, which have no lag source,
     are dropped. Returns (new_frame, n_dropped_rows).
     """
-    keep_chunks = []
-    for seg_start, seg_end in frame.segments():
-        if seg_end - seg_start <= WINDOW_HOURS:
-            continue
-        sl = slice(seg_start, seg_end)
-        data = frame.data[sl].copy()
-        data[WINDOW_HOURS:, LAG24] = data[:-WINDOW_HOURS, DEMAND]
-        keep_chunks.append((frame.timestamps[sl][WINDOW_HOURS:], data[WINDOW_HOURS:]))
-    if not keep_chunks:
+    rows = np.flatnonzero(_hours_into_segment(frame.timestamps) >= WINDOW_HOURS)
+    if not rows.size:
         raise WindowError("no segment is longer than 24 hours; cannot build lag feature")
-    ts = np.concatenate([c[0] for c in keep_chunks])
-    data = np.concatenate([c[1] for c in keep_chunks])
-    dropped = len(frame) - ts.size
-    return AlignedFrame(ts, data), dropped
+    data = frame.data[rows]
+    data[:, LAG24] = frame.data[rows - WINDOW_HOURS, DEMAND]
+    return AlignedFrame(frame.timestamps[rows], data), len(frame) - rows.size
 
 
 def drop_unfilled_rows(frame):
@@ -632,12 +627,7 @@ def make_windows(frame, standardizer, split):
         lo, hi = split.range_of(tag)
         sel = np.flatnonzero((frame.timestamps >= lo) & (frame.timestamps < hi))
         # a row is a target when the 24 rows before it are in its hourly segment
-        pos = np.arange(sel.size)
-        seg_start = np.zeros(sel.size, dtype=bool)
-        seg_start[:1] = True
-        seg_start[1:] = np.diff(frame.timestamps[sel]) != HOUR
-        since_start = pos - np.maximum.accumulate(np.where(seg_start, pos, 0))
-        targets_idx = sel[since_start >= WINDOW_HOURS]
+        targets_idx = sel[_hours_into_segment(frame.timestamps[sel]) >= WINDOW_HOURS]
         if not targets_idx.size:
             raise WindowError(f"split {tag!r} is shorter than 25 contiguous hours")
         # one gather from the view of every 24-row block of the frame
@@ -697,19 +687,17 @@ def parse_holiday_file(path):
     return out
 
 
-def _nth_weekday(year, month, weekday, n):
-    """n-th (1-based) given weekday (Mon=0) of a month; n=-1 means last."""
-    if n > 0:
-        first = dt.date(year, month, 1)
-        offset = (weekday - first.weekday()) % 7
-        return first + dt.timedelta(days=offset + 7 * (n - 1))
-    if month == 12:
-        nxt = dt.date(year + 1, 1, 1)
-    else:
-        nxt = dt.date(year, month + 1, 1)
-    last = nxt - dt.timedelta(days=1)
-    offset = (last.weekday() - weekday) % 7
-    return last - dt.timedelta(days=offset)
+# The floating federal holidays as (month, k, weekday): from the month's 1st,
+# roll forward to that weekday, then move k of them on. Memorial Day is one
+# Monday back from June's first, the last Monday of May.
+_FLOATING_HOLIDAYS = (
+    (1, 2, "Mon"),   # Martin Luther King Jr. Day, third Monday of January
+    (2, 2, "Mon"),   # Washington's Birthday, third Monday of February
+    (6, -1, "Mon"),  # Memorial Day, last Monday of May
+    (9, 0, "Mon"),   # Labor Day, first Monday of September
+    (10, 1, "Mon"),  # Columbus Day, second Monday of October
+    (11, 3, "Thu"),  # Thanksgiving, fourth Thursday of November
+)
 
 
 def us_federal_holidays(start_year, end_year):
@@ -718,15 +706,12 @@ def us_federal_holidays(start_year, end_year):
     out = set()
     for year in range(start_year, end_year + 1):
         out.add(dt.date(year, 1, 1))                      # New Year's Day
-        out.add(_nth_weekday(year, 1, 0, 3))              # MLK Day
-        out.add(_nth_weekday(year, 2, 0, 3))              # Washington's Birthday
-        out.add(_nth_weekday(year, 5, 0, -1))             # Memorial Day
         if year >= 2021:
             out.add(dt.date(year, 6, 19))                 # Juneteenth
         out.add(dt.date(year, 7, 4))                      # Independence Day
-        out.add(_nth_weekday(year, 9, 0, 1))              # Labor Day
-        out.add(_nth_weekday(year, 10, 0, 2))             # Columbus Day
         out.add(dt.date(year, 11, 11))                    # Veterans Day
-        out.add(_nth_weekday(year, 11, 3, 4))             # Thanksgiving
         out.add(dt.date(year, 12, 25))                    # Christmas
+        out.update(np.busday_offset(f"{year}-{month:02d}", k, roll="forward",
+                                    weekmask=weekday).item()
+                   for month, k, weekday in _FLOATING_HOLIDAYS)
     return out

@@ -181,6 +181,12 @@ class PhysicsLossConfig:
             raise ConfigError("delta_max_mw must be > 0")
 
 
+def _squared_hinge(d, eps):
+    """(loss, dloss_dd) of loss = mean(max(|d| - eps, 0)^2)."""
+    hinge = np.maximum(np.abs(d) - eps, 0.0)
+    return float(np.mean(hinge ** 2)), 2.0 * np.sign(d) * hinge / d.size
+
+
 def parabolic_penalty(pred_mw, temp_c, env, tol):
     """Mean squared exceedance of the envelope band; exact gradient.
 
@@ -191,13 +197,7 @@ def parabolic_penalty(pred_mw, temp_c, env, tol):
     temp = np.asarray(temp_c, dtype=float)
     if pred.shape != temp.shape:
         raise ConfigError("pred and temp must have equal length")
-    diff = pred - envelope_demand(env, temp)
-    excess = np.abs(diff) - tol.epsilon(temp)
-    hinge = np.maximum(excess, 0.0)
-    n = pred.size
-    loss = float(np.mean(hinge ** 2))
-    grad = 2.0 * np.sign(diff) * hinge / n
-    return loss, grad
+    return _squared_hinge(pred - envelope_demand(env, temp), tol.epsilon(temp))
 
 
 def ramp_penalty(pred_mw, delta_max, pairs):
@@ -212,12 +212,7 @@ def ramp_penalty(pred_mw, delta_max, pairs):
     grad = np.zeros_like(pred)
     if len(pairs) == 0:
         return 0.0, grad
-    d = pred[pairs[:, 1]] - pred[pairs[:, 0]]
-    excess = np.abs(d) - delta_max
-    hinge = np.maximum(excess, 0.0)
-    n = len(pairs)
-    loss = float(np.mean(hinge ** 2))
-    contrib = 2.0 * np.sign(d) * hinge / n
+    loss, contrib = _squared_hinge(pred[pairs[:, 1]] - pred[pairs[:, 0]], delta_max)
     np.add.at(grad, pairs[:, 1], contrib)
     np.add.at(grad, pairs[:, 0], -contrib)
     return loss, grad

@@ -3,8 +3,9 @@
 The CSV parsers here read one row at a time and check one field at a time,
 in row order; the CSV writers format and write one row at a time, with the
 header text spelled out; `missing_runs` and `make_windows` are the plain
-loops. The property tests in test_ingest_properties.py hold the columnar
-code to the same results. The timestamp rule is the current one: a trailing Z is the
+loops, and `impute_linear` and `add_lag_feature` work one hourly segment
+(`segments`) at a time. The property tests in test_ingest_properties.py
+hold the columnar code to the same results. The timestamp rule is the current one: a trailing Z is the
 only UTC offset accepted, and an empty or NaT field is a bad timestamp.
 """
 
@@ -14,15 +15,20 @@ import warnings
 
 import numpy as np
 
-from gridcast.errors import CsvParseError, OrderingError, WindowError
+from gridcast.errors import CsvParseError, ImputationError, OrderingError, WindowError
 from gridcast.ingest import (
     AIR_TEMP,
     DEMAND,
+    FEATURE_COLUMNS,
     HOUR,
+    LAG24,
     LOAD_HEADER,
+    WEATHER_COLUMNS,
     WEATHER_HEADER,
     WINDOW_HOURS,
     WX_CODES,
+    AlignedFrame,
+    GapReport,
     LoadSeries,
     WeatherTable,
     WindowSet,
@@ -175,6 +181,61 @@ def missing_runs(miss):
     return runs
 
 
+def segments(timestamps):
+    """(start, end) index ranges of hourly-contiguous rows, end exclusive."""
+    if timestamps.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(timestamps) != HOUR)
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks + 1, [timestamps.size]])
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def impute_linear(frame, max_gap_hours=6):
+    out = frame.copy()
+    reports = []
+    for col_name in WEATHER_COLUMNS:
+        ci = FEATURE_COLUMNS.index(col_name)
+        if np.isnan(out.data[:, ci]).all():
+            raise ImputationError(f"column {col_name!r} is entirely missing")
+        for seg_start, seg_end in segments(frame.timestamps):
+            vals = out.data[seg_start:seg_end, ci]
+            for run_start, run_len in missing_runs(np.isnan(vals)):
+                left = run_start - 1
+                right = run_start + run_len
+                if left < 0 or right >= vals.size:
+                    reports.append(GapReport(
+                        col_name, frame.timestamps[seg_start + run_start],
+                        run_len, "boundary"))
+                    continue
+                if run_len > max_gap_hours:
+                    reports.append(GapReport(
+                        col_name, frame.timestamps[seg_start + run_start],
+                        run_len, "exceeds_max_gap"))
+                    continue
+                span = right - left
+                frac = (np.arange(1, run_len + 1)) / span
+                vals[run_start:right] = vals[left] + (vals[right] - vals[left]) * frac
+    return out, reports
+
+
+def add_lag_feature(frame):
+    keep_chunks = []
+    for seg_start, seg_end in segments(frame.timestamps):
+        if seg_end - seg_start <= WINDOW_HOURS:
+            continue
+        sl = slice(seg_start, seg_end)
+        data = frame.data[sl].copy()
+        data[WINDOW_HOURS:, LAG24] = data[:-WINDOW_HOURS, DEMAND]
+        keep_chunks.append((frame.timestamps[sl][WINDOW_HOURS:], data[WINDOW_HOURS:]))
+    if not keep_chunks:
+        raise WindowError("no segment is longer than 24 hours; cannot build lag feature")
+    ts = np.concatenate([c[0] for c in keep_chunks])
+    data = np.concatenate([c[1] for c in keep_chunks])
+    dropped = len(frame) - ts.size
+    return AlignedFrame(ts, data), dropped
+
+
 def make_windows(frame, standardizer, split):
     if frame.missing.any():
         raise WindowError("frame must be fully imputed before windowing")
@@ -184,17 +245,12 @@ def make_windows(frame, standardizer, split):
         lo, hi = split.range_of(tag)
         sel = np.flatnonzero((frame.timestamps >= lo) & (frame.timestamps < hi))
         windows, targets_idx = [], []
-        if sel.size:
-            sub_ts = frame.timestamps[sel]
-            breaks = np.flatnonzero(np.diff(sub_ts) != HOUR)
-            starts = np.concatenate([[0], breaks + 1])
-            ends = np.concatenate([breaks + 1, [sel.size]])
-            for s, e in zip(starts, ends):
-                seg = sel[s:e]
-                for t in range(WINDOW_HOURS, seg.size):
-                    first = seg[t - WINDOW_HOURS]
-                    windows.append(std_data[first:first + WINDOW_HOURS])
-                    targets_idx.append(seg[t])
+        for s, e in segments(frame.timestamps[sel]):
+            seg = sel[s:e]
+            for t in range(WINDOW_HOURS, seg.size):
+                first = seg[t - WINDOW_HOURS]
+                windows.append(std_data[first:first + WINDOW_HOURS])
+                targets_idx.append(seg[t])
         if not windows:
             raise WindowError(f"split {tag!r} is shorter than 25 contiguous hours")
         targets_idx = np.array(targets_idx)

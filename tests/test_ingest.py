@@ -277,6 +277,15 @@ class TestCalendar:
         assert out.col("day_of_week")[0] == 6
         assert out.col("is_weekend")[0] == 1
 
+    @pytest.mark.parametrize("start, day_of_week, is_weekend", [
+        ("2024-01-05T12:00:00", 5, 0),  # Friday
+        ("2024-01-07T12:00:00", 7, 1),  # Sunday
+    ])
+    def test_day_of_week_and_weekend_flag(self, start, day_of_week, is_weekend):
+        out = ingest.encode_calendar(frame_with_temps([5.0], start=start), set())
+        assert out.col("day_of_week")[0] == day_of_week
+        assert out.col("is_weekend")[0] == is_weekend
+
     def test_july_fourth_is_holiday(self):
         frame = frame_with_temps([25.0], start="2024-07-04T12:00:00")
         hol = ingest.us_federal_holidays(2024, 2024)
@@ -306,6 +315,16 @@ class TestHolidays:
 
     def test_memorial_day_2024(self):
         assert dt.date(2024, 5, 27) in ingest.us_federal_holidays(2024, 2024)
+
+    @pytest.mark.parametrize("year, days", [
+        (2025, ["01-01", "01-20", "02-17", "05-26", "06-19", "07-04", "09-01",
+                "10-13", "11-11", "11-27", "12-25"]),
+        (2020, ["01-01", "01-20", "02-17", "05-25", "07-04", "09-07", "10-12",
+                "11-11", "11-26", "12-25"]),  # Juneteenth became federal in 2021
+    ])
+    def test_every_date_of_a_year(self, year, days):
+        expected = {dt.date.fromisoformat(f"{year}-{day}") for day in days}
+        assert ingest.us_federal_holidays(year, year) == expected
 
     def test_holiday_file_roundtrip(self, tmp_path):
         p = tmp_path / "holidays.txt"
@@ -463,7 +482,7 @@ class TestLag:
         frame = ingest.encode_calendar(frame, set())
         out, dropped = ingest.add_lag_feature(frame)
         assert dropped == 48  # 24 warm-up rows per segment
-        assert len(out.segments()) == 2
+        assert np.count_nonzero(np.diff(out.timestamps) != ingest.HOUR) == 1
 
 
 class TestSplitSpec:

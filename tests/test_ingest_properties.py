@@ -344,17 +344,24 @@ def test_synthetic_year_parses_back_to_generate(tmp_path):
     assert np.isnan(weather.values).any()
 
 
+def hourly_segments(draw, max_length, max_skip):
+    """Timestamps of one to four hourly segments of 1 to max_length rows,
+    with 1 to max_skip hours left out after each; also the hour (from T0)
+    after the last skip."""
+    hours, at = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, max_length))
+        hours += range(at, at + length)
+        at += length + draw(st.integers(1, max_skip))
+    return T0 + np.array(hours) * ingest.HOUR, at
+
+
 @st.composite
 def gappy_frames(draw):
     """A fully observed frame over hourly timestamps with gaps, a
     standardizer, and three split ranges that may be back to back or apart
     and may cut through segments."""
-    hours, at = [], 0
-    for _ in range(draw(st.integers(1, 4))):  # hourly segments between gaps
-        length = draw(st.integers(1, 150))
-        hours += range(at, at + length)
-        at += length + draw(st.integers(1, 6))
-    ts = T0 + np.array(hours) * ingest.HOUR
+    ts, at = hourly_segments(draw, max_length=150, max_skip=6)
     n = ts.size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = ingest.AlignedFrame(ts, rng.normal(size=(n, ingest.N_FEATURES)))
@@ -370,9 +377,9 @@ def gappy_frames(draw):
     return frame, standardizer, ingest.SplitSpec(*zip(edges[::2], edges[1::2]))
 
 
-def windows_or_error(make_windows, frame, standardizer, split):
+def result_or_error(fn, *args):
     try:
-        return make_windows(frame, standardizer, split), None
+        return fn(*args), None
     except ingest.WindowError as exc:
         return None, str(exc)
 
@@ -381,8 +388,8 @@ def windows_or_error(make_windows, frame, standardizer, split):
 @settings(max_examples=200)  # about one case in five yields windows in all three splits
 def test_windows_match_reference_and_stay_inside_segments_and_splits(case):
     frame, standardizer, split = case
-    expected, ref_err = windows_or_error(ref.make_windows, frame, standardizer, split)
-    got, err = windows_or_error(ingest.make_windows, frame, standardizer, split)
+    expected, ref_err = result_or_error(ref.make_windows, frame, standardizer, split)
+    got, err = result_or_error(ingest.make_windows, frame, standardizer, split)
     assert err == ref_err
     if got is None:
         return
@@ -404,15 +411,17 @@ def test_windows_match_reference_and_stay_inside_segments_and_splits(case):
 
 @st.composite
 def frames_with_holes(draw):
-    n = draw(st.integers(2, 80))
-    steps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 3]), min_size=n, max_size=n))
-    ts = T0 + np.cumsum(steps) * ingest.HOUR
+    """A frame of one to four hourly segments, 2 to 4 hours apart, with NaN
+    holes in the weather columns (row 0 observed, so no column is entirely
+    missing), and a max_gap_hours."""
+    ts, _ = hourly_segments(draw, max_length=60, max_skip=3)
+    n = ts.size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.normal(size=(n, ingest.N_FEATURES))
     missing = np.zeros((n, ingest.N_FEATURES), dtype=bool)
     rate = draw(st.floats(0.0, 0.8))
     missing[:, 2:8] = rng.random((n, 6)) < rate
-    missing[0, 2:8] = False  # no column entirely missing
+    missing[0, 2:8] = False
     data[missing] = np.nan
     return ingest.AlignedFrame(ts, data), draw(st.integers(1, 8))
 
@@ -427,10 +436,39 @@ def test_impute_linear_is_idempotent(case):
     assert reports_again == reports
 
 
-@given(st.lists(st.booleans(), max_size=60))
+@given(frames_with_holes())
+@settings(max_examples=200)
+def test_impute_linear_matches_the_per_segment_reference(case):
+    frame, max_gap = case
+    expected, expected_reports = ref.impute_linear(frame, max_gap_hours=max_gap)
+    got, reports = ingest.impute_linear(frame, max_gap_hours=max_gap)
+    assert_same_arrays(expected, got)
+    assert reports == expected_reports
+
+
+@given(frames_with_holes())
+@settings(max_examples=200)
+def test_add_lag_feature_matches_the_per_segment_reference(case):
+    frame, _ = case
+    expected, ref_err = result_or_error(ref.add_lag_feature, frame)
+    got, err = result_or_error(ingest.add_lag_feature, frame)
+    assert err == ref_err
+    if got is not None:
+        assert_same_arrays(expected[0], got[0])
+        assert got[1] == expected[1]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60))
 def test_missing_runs_match_the_loop(flags):
-    miss = np.array(flags, dtype=bool)
-    assert ingest._missing_runs(miss) == ref.missing_runs(miss)
+    """Runs found once over the whole mask, cut at the drawn segment starts,
+    are the loop's runs within each segment."""
+    miss = np.array([m for m, _ in flags], dtype=bool)
+    seg_start = np.array([cut for _, cut in flags], dtype=bool)
+    seg_start[:1] = True
+    bounds = np.append(np.flatnonzero(seg_start), miss.size).tolist()
+    expected = [(s + start, length) for s, e in zip(bounds, bounds[1:])
+                for start, length in ref.missing_runs(miss[s:e])]
+    assert ingest._missing_runs(miss, seg_start) == expected
 
 
 @given(n=st.integers(2, 50), seed=st.integers(0, 2**32 - 1),
