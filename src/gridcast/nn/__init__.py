@@ -8,6 +8,8 @@ Everything runs in float64. The layer contract:
 - forward(x, train=False) stores nothing: it assigns no attribute, so
   inference may run between a train forward and its backward, or over a
   model shared with evaluation, without changing any result.
+- A layer writes only to arrays it allocated, never to its input or its
+  upstream gradient; further arithmetic runs in place on its own output.
 - Trainable arrays live in `params` (gradients in `grads`); non-trainable
   state, such as BatchNorm running statistics, lives in `buffers` and is
   updated in place.

@@ -6,6 +6,10 @@ as a per-position projection on sequence tensors.
 
 Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
+
+A layer writes only to arrays it allocated, never to its input or upstream
+gradient: a forward pass allocates its output (plus its cache in train mode)
+and does further arithmetic in place on it, with no other full-size temporary.
 """
 
 import numpy as np
@@ -16,6 +20,21 @@ from ..errors import ConfigError, ShapeError
 def _uniform_init(rng, shape, fan_in):
     bound = np.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _affine(x, w, b):
+    """x @ w + b, the bias added in place on the product."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _plus(skip, out):
+    """skip + out, in place on out unless out is skip passed through."""
+    if np.shares_memory(skip, out):
+        return skip + out
+    out += skip
+    return out
 
 
 class Layer:
@@ -84,7 +103,7 @@ class Dense(Layer):
             raise ShapeError(f"dense expects last axis {self.d_in}, got {x.shape}")
         if train:
             self._x = x
-        return x @ self.params["W"] + self.params["b"]
+        return _affine(x, self.params["W"], self.params["b"])
 
     def backward(self, dy):
         x2 = self._x.reshape(-1, self.d_in)
@@ -138,8 +157,7 @@ class Conv1d(Layer):
             self._cols_cache = cols
         b, t = x.shape[:2]
         wf = self.params["W"].reshape(self.kernel * self.c_in, self.c_out)
-        y = cols.reshape(b * t, -1) @ wf + self.params["b"]
-        return y.reshape(b, t, self.c_out)
+        return _affine(cols.reshape(b * t, -1), wf, self.params["b"]).reshape(b, t, self.c_out)
 
     def backward(self, dy):
         b, t, _ = dy.shape
@@ -184,12 +202,16 @@ class BatchNorm1d(Layer):
             run_mean[...] = self.momentum * run_mean + (1 - self.momentum) * mu
             run_var[...] = self.momentum * run_var + (1 - self.momentum) * var
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu) * inv
+            xhat = x - mu
+            xhat *= inv
             self._cache = (xhat, inv, x.shape[0] * x.shape[1])
+            y = xhat * self.params["gamma"]
         else:
-            inv = 1.0 / np.sqrt(run_var + self.eps)
-            xhat = (x - run_mean) * inv
-        return self.params["gamma"] * xhat + self.params["beta"]
+            # running statistics are constants here: fold gamma into the scale
+            y = x - run_mean
+            y *= self.params["gamma"] / np.sqrt(run_var + self.eps)
+        y += self.params["beta"]
+        return y
 
     def backward(self, dy):
         xhat, inv, n = self._cache
@@ -238,7 +260,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=1)
 
     def backward(self, dy):
-        return np.repeat(dy[:, None, :], self._t, axis=1) / self._t
+        return np.repeat(dy[:, None, :] / self._t, self._t, axis=1)
 
 
 class Dropout(Layer):
@@ -305,23 +327,29 @@ class LayerNorm(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def forward(self, x, train=False):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        xhat = x - x.mean(axis=-1, keepdims=True)  # centred once, then scaled in place
+        var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / self.d
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
+        xhat *= inv
         if train:
             self._cache = (xhat, inv)
-        return self.params["gamma"] * xhat + self.params["beta"]
+        y = np.multiply(xhat, self.params["gamma"], out=None if train else xhat)
+        y += self.params["beta"]
+        return y
 
     def backward(self, dy):
         xhat, inv = self._cache
         axes = tuple(range(dy.ndim - 1))
-        self.grads["gamma"] += (dy * xhat).sum(axis=axes)
+        tmp = dy * xhat
+        self.grads["gamma"] += tmp.sum(axis=axes)
         self.grads["beta"] += dy.sum(axis=axes)
-        dxhat = dy * self.params["gamma"]
-        m = dxhat.mean(axis=-1, keepdims=True)
-        mx = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * (dxhat - m - xhat * mx)
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on dxhat
+        dx = dy * self.params["gamma"]
+        mx = np.einsum("...i,...i->...", dx, xhat)[..., None] / self.d
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, mx, out=tmp)
+        dx *= inv
+        return dx
 
 
 class MultiHeadSelfAttention(Layer):
@@ -359,13 +387,14 @@ class MultiHeadSelfAttention(Layer):
         if x.ndim != 3 or x.shape[2] != self.d_model:
             raise ShapeError(f"attention expects (B, T, {self.d_model}), got {x.shape}")
         p = self.params
-        q = self._split(x @ p["Wq"] + p["bq"])
-        k = self._split(x @ p["Wk"] + p["bk"])
-        v = self._split(x @ p["Wv"] + p["bv"])
-        scores = q @ k.transpose(0, 1, 3, 2) * self.scale
-        scores -= scores.max(axis=-1, keepdims=True)
-        expn = np.exp(scores)
-        return q, k, v, expn / expn.sum(axis=-1, keepdims=True)
+        q, k, v = (self._split(_affine(x, p[f"W{n}"], p[f"b{n}"])) for n in "qkv")
+        # row softmax in place on the scores array the product allocated
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn *= self.scale
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        return q, k, v, attn
 
     def attention_weights(self, x):
         """Row-softmax attention weights, shape (B, n_heads, T, T)."""
@@ -373,10 +402,11 @@ class MultiHeadSelfAttention(Layer):
 
     def forward(self, x, train=False):
         q, k, v, attn = self._attend(x)
-        ctx = self._merge(attn @ v)
+        ctx = np.empty(x.shape)  # heads written straight into their merged layout
+        np.matmul(attn, v, out=self._split(ctx))
         if train:
             self._cache = (x, q, k, v, attn, ctx)
-        return ctx @ self.params["Wo"] + self.params["bo"]
+        return _affine(ctx, self.params["Wo"], self.params["bo"])
 
     def backward(self, dy):
         x, q, k, v, attn, ctx = self._cache
@@ -424,10 +454,10 @@ class Residual(Sequential):
     """Skip connection around a chain: y = x + chain(x)."""
 
     def forward(self, x, train=False):
-        return x + super().forward(x, train)
+        return _plus(x, super().forward(x, train))
 
     def backward(self, dy):
-        return dy + super().backward(dy)
+        return _plus(dy, super().backward(dy))
 
 
 class ConvBlock(Sequential):

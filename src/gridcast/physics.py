@@ -212,6 +212,8 @@ def ramp_penalty(pred_mw, delta_max, pairs):
     grad = np.zeros_like(pred)
     if len(pairs) == 0:
         return 0.0, grad
+    if pairs.min() < 0 or pairs.max() >= pred.size:
+        raise ConfigError(f"pairs index outside pred_mw (0 to {pred.size - 1})")
     loss, contrib = _squared_hinge(pred[pairs[:, 1]] - pred[pairs[:, 0]], delta_max)
     np.add.at(grad, pairs[:, 1], contrib)
     np.add.at(grad, pairs[:, 0], -contrib)
@@ -226,6 +228,9 @@ def composite_loss(pred_mw, target_mw, temp_c, pairs, env, tol, cfg):
     """
     pred = np.asarray(pred_mw, dtype=float)
     target = np.asarray(target_mw, dtype=float)
+    if pred.size == 0 or pred.shape != target.shape:
+        raise ConfigError(f"pred_mw {pred.shape} and target_mw {target.shape} must be "
+                          "non-empty and of equal shape")
     n = pred.size
     err = pred - target
     mse = float(np.mean(err ** 2))

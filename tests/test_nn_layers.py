@@ -353,6 +353,62 @@ def test_eval_forward_between_forward_and_backward_keeps_grads(branch):
         np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
 
 
+@pytest.mark.parametrize("branch", ["cnn", "tr"])
+def test_batch_predictions_match_row_by_row(branch):
+    model = benchmark_shaped_branches(2)[branch]
+    x = seeded_rng(2, "rows-x").normal(size=(64, 24, 13))
+    rows = np.concatenate([model.forward(x[i:i + 1]) for i in range(len(x))])
+    np.testing.assert_allclose(model.forward(x), rows, rtol=0, atol=1e-12)
+
+
+# --- a layer writes only to arrays it allocated ------------------------------
+
+LEAF_LAYERS = {  # class -> (factory, input shape)
+    nn.Dense: (lambda r: nn.Dense(4, 5, r), (3, 6, 4)),
+    nn.ReLU: (lambda r: nn.ReLU(), (3, 6, 4)),
+    nn.Conv1d: (lambda r: nn.Conv1d(4, 5, 3, r), (3, 6, 4)),
+    nn.BatchNorm1d: (lambda r: nn.BatchNorm1d(4), (3, 6, 4)),
+    nn.MaxPool1d: (lambda r: nn.MaxPool1d(), (3, 7, 4)),
+    nn.GlobalAvgPool: (lambda r: nn.GlobalAvgPool(), (3, 6, 4)),
+    nn.Dropout: (lambda r: nn.Dropout(0.5, r), (3, 6, 4)),
+    nn.PositionalEncodingAdd: (lambda r: nn.PositionalEncodingAdd(6, 4), (3, 6, 4)),
+    nn.LayerNorm: (lambda r: nn.LayerNorm(4), (3, 6, 4)),
+    nn.MultiHeadSelfAttention: (lambda r: nn.MultiHeadSelfAttention(4, 2, r), (3, 6, 4)),
+}
+
+
+def models_and_inputs():
+    rng = seeded_rng(15, "inputs-alone")
+    for cls, (make, shape) in LEAF_LAYERS.items():
+        yield cls.__name__, make(rng), shape
+    for branch, model in benchmark_shaped_branches(15).items():
+        yield branch, model, (8, 24, 13)
+    # chains that hand their input straight back: the skip must not add in place
+    for rate in (0.0, 0.5):
+        yield f"residual-dropout-{rate}", nn.Residual([("drop", nn.Dropout(rate, rng))]), (3, 6, 4)
+
+
+def test_every_leaf_layer_class_is_covered():
+    leaves = {cls for cls in vars(nn).values() if isinstance(cls, type)
+              and issubclass(cls, nn.Layer) and cls is not nn.Layer
+              and not issubclass(cls, nn.Sequential)}
+    assert leaves == set(LEAF_LAYERS)
+
+
+@pytest.mark.parametrize("name, model, shape", [
+    pytest.param(name, model, shape, id=name) for name, model, shape in models_and_inputs()])
+def test_forward_and_backward_leave_their_inputs_alone(name, model, shape):
+    rng = seeded_rng(16, "inputs-alone", name)
+    x = rng.normal(size=shape)
+    x_bytes = x.tobytes()
+    dy = rng.normal(size=model.forward(x, train=True).shape)
+    dy_bytes = dy.tobytes()
+    model.backward(dy)
+    model.forward(x, train=False)
+    assert x.tobytes() == x_bytes
+    assert dy.tobytes() == dy_bytes
+
+
 def test_walk_names_match_params():
     block = nn.EncoderBlock(8, 2, 12, 0.1, seeded_rng(12, "walk"))
     paths = [path for path, _ in block.walk("enc.")]

@@ -1,0 +1,135 @@
+"""The in-place nn kernels against their expression-per-line reference
+(nn_reference), on generated batches of 1-6 sequences of 1-30 steps.
+
+Bounds are in units of float64 machine epsilon times the magnitude of the
+terms that meet in each result; where the arithmetic is unchanged, the
+results are required to be equal.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import nn_reference as ref
+from gridcast import nn
+from gridcast.seeding import seeded_rng
+
+EPS = np.finfo(np.float64).eps
+
+batches = st.integers(1, 6)
+steps = st.integers(1, 30)
+seeds = st.integers(0, 2**32 - 1)
+scales = st.floats(1e-3, 1e3)
+offsets = st.floats(-1e3, 1e3)
+examples = settings(max_examples=80, deadline=None)
+
+
+def random_layer_norm(d, rng):
+    ln = nn.LayerNorm(d)
+    ln.params["gamma"][...] = rng.normal(size=d)
+    ln.params["beta"][...] = rng.normal(size=d)
+    return ln
+
+
+@examples
+@given(b=batches, t=steps, d=st.integers(1, 32), seed=seeds, scale=scales, offset=offsets)
+def test_layer_norm_matches_reference(b, t, d, seed, scale, offset):
+    rng = np.random.default_rng(seed)
+    ln = random_layer_norm(d, rng)
+    gamma, beta = ln.params["gamma"], ln.params["beta"]
+    x = offset + scale * rng.normal(size=(b, t, d))
+    out_ref, xhat_ref, inv_ref = ref.layer_norm(x, gamma, beta, ln.eps)
+
+    # only the variance's summation order changed: d roundings, halved by sqrt
+    out = ln.forward(x, train=False)
+    assert np.all(np.abs(out - out_ref) <= (d + 4) * EPS * (np.abs(gamma * xhat_ref) + np.abs(beta)))
+    np.testing.assert_array_equal(ln.forward(x, train=True), out)
+
+    dy = rng.normal(size=x.shape)
+    dxhat = np.abs(dy * gamma)
+    terms = inv_ref * (dxhat + dxhat.mean(axis=-1, keepdims=True)
+                       + np.abs(xhat_ref) * (dxhat * np.abs(xhat_ref)).mean(axis=-1, keepdims=True))
+    dx = ln.backward(dy)
+    dx_ref = ref.layer_norm_backward(dy, xhat_ref, inv_ref, gamma)
+    assert np.all(np.abs(dx - dx_ref) <= 2 * (d + 8) * EPS * terms)
+
+
+@examples
+@given(b=batches, t=steps, d=st.integers(1, 32), seed=seeds, c=st.floats(-1e6, 1e6))
+def test_layer_norm_of_constant_rows_is_beta(b, t, d, seed, c):
+    rng = np.random.default_rng(seed)
+    ln = random_layer_norm(d, rng)
+    gamma, beta = ln.params["gamma"], ln.params["beta"]
+    x = np.full((b, t, d), c)
+    out = ln.forward(x)
+    assert np.isfinite(out).all()
+    # the row mean is within d*eps*|c| of c, and the scale is at most 1/sqrt(eps_ln)
+    bound = 2 * np.abs(gamma) * d * EPS * abs(c) / np.sqrt(ln.eps) + EPS * np.abs(beta)
+    assert np.all(np.abs(out - beta) <= bound)
+    assert np.all(np.abs(out - ref.layer_norm(x, gamma, beta, ln.eps)[0]) <= 2 * bound)
+
+
+def logit_attention():
+    """One head of width 1 whose scores are the input values: q = 1, k = x."""
+    attn = nn.MultiHeadSelfAttention(1, 1, seeded_rng(0, "logit-attention"))
+    attn.params["Wq"][...] = 0.0
+    attn.params["bq"][...] = 1.0
+    attn.params["Wk"][...] = 1.0
+    attn.params["bk"][...] = 0.0
+    return attn
+
+
+@examples
+@given(data=st.data(), b=batches, t=steps)
+def test_softmax_of_logits_up_to_1e4_is_finite_and_sums_to_one(data, b, t):
+    logits = data.draw(arrays(np.float64, (b, t, 1), elements=st.floats(-1e4, 1e4)))
+    weights = logit_attention().attention_weights(logits)
+    assert np.isfinite(weights).all()
+    assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= (t + 1) * EPS)
+    expected = ref.softmax(np.broadcast_to(logits[:, None, None, :, 0], weights.shape))
+    np.testing.assert_array_equal(weights, expected)
+
+
+@examples
+@given(b=batches, t=steps, heads=st.sampled_from([1, 2, 4]), d_k=st.integers(1, 4),
+       seed=seeds, scale=st.floats(1e-2, 1e1))
+def test_attention_matches_reference(b, t, heads, d_k, seed, scale):
+    d = heads * d_k
+    attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(seed, "attention"))
+    x = scale * np.random.default_rng(seed).normal(size=(b, t, d))
+    out_ref, weights_ref, ctx_ref = ref.attention(x, attn.params, heads)
+    np.testing.assert_array_equal(attn.attention_weights(x), weights_ref)
+    # a dot product of d terms: d roundings of the terms' magnitudes
+    p = attn.params
+    bound = 4 * d * EPS * (np.abs(ctx_ref) @ np.abs(p["Wo"]) + np.abs(p["bo"]))
+    assert np.all(np.abs(attn.forward(x) - out_ref) <= bound)
+
+
+@examples
+@given(b=batches, t=steps, c=st.integers(1, 16), seed=seeds, scale=scales, offset=offsets)
+def test_batch_norm_inference_matches_reference(b, t, c, seed, scale, offset):
+    rng = np.random.default_rng(seed)
+    bn = nn.BatchNorm1d(c)
+    gamma, beta = bn.params["gamma"], bn.params["beta"]
+    mean, var = bn.buffers["running_mean"], bn.buffers["running_var"]
+    gamma[...] = rng.normal(size=c)
+    beta[...] = rng.normal(size=c)
+    mean[...] = offset + scale * rng.normal(size=c)
+    var[...] = scale ** 2 * rng.uniform(0.1, 10.0, size=c)
+    x = offset + scale * rng.normal(size=(b, t, c))
+    out_ref = ref.batch_norm_infer(x, gamma, beta, mean, var, bn.eps)
+    # gamma folded into the scale moves one rounding: about 4 eps of gamma * xhat
+    gxhat = np.abs(gamma * (x - mean)) / np.sqrt(var + bn.eps)
+    assert np.all(np.abs(bn.forward(x) - out_ref) <= 8 * EPS * (gxhat + np.abs(beta)))
+
+
+@examples
+@given(b=batches, t=steps, d_in=st.integers(1, 16), d_out=st.integers(1, 16), seed=seeds,
+       scale=scales)
+def test_dense_matches_reference(b, t, d_in, d_out, seed, scale):
+    dense = nn.Dense(d_in, d_out, seeded_rng(seed, "dense"))
+    x = scale * np.random.default_rng(seed).normal(size=(b, t, d_in))
+    for rows in (x, x[:, 0]):
+        expected = ref.dense(rows, dense.params["W"], dense.params["b"])
+        np.testing.assert_array_equal(dense.forward(rows), expected)

@@ -240,6 +240,29 @@ class TestCompositeLoss:
         assert loss == pytest.approx(mse + 0.1 * par + 0.05 * ramp, abs=1e-12)
         assert parts == {"mse": mse, "parabolic": par, "ramp": ramp}
 
+    def test_target_of_another_length_is_a_config_error(self):
+        # a length-1 target used to broadcast against a length-2 prediction
+        cfg = physics.PhysicsLossConfig()
+        with pytest.raises(ConfigError, match="target_mw"):
+            physics.composite_loss(self.pred[:2], self.target[:1], self.temps[:2],
+                                   consecutive_pairs(2), ENV, self.tol, cfg)
+
+    def test_empty_batch_is_a_config_error(self):
+        # used to end in numpy's "Mean of empty slice" RuntimeWarning
+        cfg = physics.PhysicsLossConfig()
+        empty = np.array([])
+        with pytest.raises(ConfigError, match="pred_mw"):
+            physics.composite_loss(empty, empty, empty, np.empty((0, 2), dtype=int),
+                                   ENV, self.tol, cfg)
+
+    @pytest.mark.parametrize("pairs", [[(0, 2)], [(-1, 0)]])
+    def test_pair_index_outside_the_batch_is_a_config_error(self, pairs):
+        # index 2 raised a raw IndexError; index -1 wrapped to the last prediction
+        cfg = physics.PhysicsLossConfig()
+        with pytest.raises(ConfigError, match="pairs"):
+            physics.composite_loss(self.pred[:2], self.target[:2], self.temps[:2],
+                                   pairs, ENV, self.tol, cfg)
+
 
 class TestGradients:
     """Analytic vs central finite differences, away from hinge kinks."""
