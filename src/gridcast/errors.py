@@ -32,7 +32,7 @@ class CalibrationError(GridcastError):
 
 
 class StandardizerError(GridcastError):
-    """Zero-variance column or standardizer misuse."""
+    """Zero-variance or NaN-holding column, or standardizer misuse."""
 
 
 class WindowError(GridcastError):

@@ -581,6 +581,8 @@ def fit_standardizer(frame, split):
     for name in CONTINUOUS_COLUMNS:
         ci = FEATURE_COLUMNS.index(name)
         mean[ci] = sub[:, ci].mean()
+        if np.isnan(mean[ci]):  # any NaN in the column makes its mean NaN
+            raise StandardizerError(f"column {name!r} has missing values in the training rows")
         s = sub[:, ci].std()
         if s == 0.0:
             raise StandardizerError(f"column {name!r} has zero variance on train")

@@ -16,6 +16,13 @@ Everything runs in float64. The layer contract:
 - Layer.walk(prefix) is the one traversal of the layer tree; named_params,
   named_grads, zero_grads and state_tensors are built on it.
 - Composition is Sequential (a chain) and Residual (x + chain(x)).
+- Each kernel exists once: one affine gradient (Dense, Conv1d and the
+  attention projections), one normalization (BatchNorm1d over batch and
+  time, LayerNorm over the last axis), and one tap rule for Conv1d, which
+  is a Dense over each step's patch with W of shape (kernel·c_in, c_out),
+  tap-major.
+- A leaf layer raises ShapeError, naming the expected and the actual shape,
+  for an input of the wrong rank or width.
 """
 
 from .layers import (

@@ -7,6 +7,12 @@ as a per-position projection on sequence tensors.
 Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
 
+Each kernel is written once: `_affine_backward` is the gradient of Dense, of
+Conv1d through Dense and of attention's projections; `_Norm` normalizes for
+BatchNorm1d (over batch and time) and LayerNorm (over the last axis); and
+`Conv1d._taps` places each tap. Conv1d is a Dense over each step's patch, with
+W of shape (kernel·c_in, c_out) in tap-major order.
+
 A layer writes only to arrays it allocated, never to its input or upstream
 gradient: a forward pass allocates its output (plus its cache in train mode)
 and does further arithmetic in place on it, with no other full-size temporary.
@@ -27,6 +33,15 @@ def _affine(x, w, b):
     y = x @ w
     y += b
     return y
+
+
+def _affine_backward(x, dy, w, gw, gb):
+    """Backward of y = x @ w + b over the last axis: adds dL/dw to gw and
+    dL/db to gb, returns dL/dx. Every product is 2-D, which BLAS runs fastest."""
+    dy2 = dy.reshape(-1, w.shape[1])
+    gw += x.reshape(-1, w.shape[0]).T @ dy2
+    gb += dy2.sum(axis=0)
+    return (dy2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
 
 
 def _plus(skip, out):
@@ -99,18 +114,14 @@ class Dense(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def forward(self, x, train=False):
-        if x.shape[-1] != self.d_in:
-            raise ShapeError(f"dense expects last axis {self.d_in}, got {x.shape}")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.d_in:
+            raise ShapeError(f"dense expects (B, {self.d_in}) or (B, T, {self.d_in}), got {x.shape}")
         if train:
             self._x = x
         return _affine(x, self.params["W"], self.params["b"])
 
     def backward(self, dy):
-        x2 = self._x.reshape(-1, self.d_in)
-        dy2 = dy.reshape(-1, self.d_out)
-        self.grads["W"] += x2.T @ dy2
-        self.grads["b"] += dy2.sum(axis=0)
-        return dy @ self.params["W"].T
+        return _affine_backward(self._x, dy, self.params["W"], self.grads["W"], self.grads["b"])
 
 
 class ReLU(Layer):
@@ -123,105 +134,122 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class Conv1d(Layer):
-    """1-D convolution over time with zero same-padding.
+class Conv1d(Dense):
+    """1-D convolution over time with zero same-padding, as a Dense over each
+    step's patch; the output keeps the input length.
 
-    Weight shape (kernel, c_in, c_out); output keeps the input length.
+    W is (kernel·c_in, c_out), tap-major: rows j·c_in to (j+1)·c_in weight
+    the input j − kernel // 2 steps after the output step.
     """
 
     def __init__(self, c_in, c_out, kernel, rng):
-        super().__init__()
         if kernel % 2 != 1:
             raise ConfigError("same-padding conv requires an odd kernel")
-        self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
-        self.pad = (kernel - 1) // 2
-        self.params = {
-            "W": _uniform_init(rng, (kernel, c_in, c_out), kernel * c_in),
-            "b": _uniform_init(rng, (c_out,), kernel * c_in),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        super().__init__(kernel * c_in, c_out, rng)
+        self.c_in, self.kernel = c_in, kernel
 
-    def _cols(self, x):
-        # (B, T, C) -> (B, T, kernel, C) patch tensor
-        xp = np.pad(x, ((0, 0), (self.pad, self.pad), (0, 0)))
-        view = np.lib.stride_tricks.sliding_window_view(xp, self.kernel, axis=1)
-        return np.ascontiguousarray(view.transpose(0, 1, 3, 2))
+    def _taps(self, t):
+        """Per tap: its patch columns, the output steps [lo, hi) whose input
+        step is inside [0, t), and the input step's offset from them."""
+        pad = self.kernel // 2
+        for j in range(self.kernel):
+            shift = j - pad
+            yield slice(j * self.c_in, (j + 1) * self.c_in), max(0, -shift), min(t, t - shift), shift
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ShapeError(f"conv expects (B, T, {self.c_in}), got {x.shape}")
         if x.shape[1] < self.kernel:
             raise ShapeError(f"conv needs T >= {self.kernel}, got T={x.shape[1]}")
-        cols = self._cols(x)
-        if train:
-            self._cols_cache = cols
-        b, t = x.shape[:2]
-        wf = self.params["W"].reshape(self.kernel * self.c_in, self.c_out)
-        return _affine(cols.reshape(b * t, -1), wf, self.params["b"]).reshape(b, t, self.c_out)
+        cols = np.zeros((*x.shape[:2], self.d_in))  # the zeros are the padding
+        for cols_j, lo, hi, shift in self._taps(x.shape[1]):
+            cols[:, lo:hi, cols_j] = x[:, lo + shift : hi + shift]
+        return super().forward(cols, train)
 
     def backward(self, dy):
-        b, t, _ = dy.shape
-        dy2 = dy.reshape(b * t, self.c_out)
-        cols2 = self._cols_cache.reshape(b * t, -1)
-        self.grads["W"] += (cols2.T @ dy2).reshape(self.params["W"].shape)
-        self.grads["b"] += dy2.sum(axis=0)
-        wf = self.params["W"].reshape(self.kernel * self.c_in, self.c_out)
-        dcols = (dy2 @ wf.T).reshape(b, t, self.kernel, self.c_in)
-        dxp = np.zeros((b, t + 2 * self.pad, self.c_in))
-        for j in range(self.kernel):
-            dxp[:, j : j + t, :] += dcols[:, :, j, :]
-        return dxp[:, self.pad : self.pad + t, :]
+        dcols = super().backward(dy)
+        dx = np.zeros((*dcols.shape[:2], self.c_in))
+        for cols_j, lo, hi, shift in self._taps(dx.shape[1]):
+            dx[:, lo + shift : hi + shift] += dcols[:, lo:hi, cols_j]
+        return dx
 
 
-class BatchNorm1d(Layer):
+class _Norm(Layer):
+    """gamma * (x - mean) / sqrt(var + eps) + beta on (B, T, width) tensors,
+    with the mean and population variance over the subclass's `axes`.
+    """
+
+    def __init__(self, width, eps=1e-5):
+        super().__init__()
+        self.width, self.eps = width, eps
+        self.params = {"gamma": np.ones(width), "beta": np.zeros(width)}
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def _check(self, x):
+        if x.ndim != 3 or x.shape[2] != self.width:
+            raise ShapeError(f"{type(self).__name__} expects (B, T, {self.width}), got {x.shape}")
+
+    def _mean_of_product(self, a, b):
+        """mean(a * b) over the statistic axes, kept as size-1 axes."""
+        kept = [i for i in range(3) if i not in self.axes]
+        shape = [a.shape[i] if i in kept else 1 for i in range(3)]
+        return np.einsum(a, [0, 1, 2], b, [0, 1, 2], kept).reshape(shape) / (a.size // np.prod(shape))
+
+    def _normalize(self, x, train):
+        """(y, mean, var) by x's own statistics; train mode caches for backward."""
+        self._check(x)
+        mean = x.mean(axis=self.axes, keepdims=True)
+        xhat = x - mean  # centred once, then scaled in place
+        var = self._mean_of_product(xhat, xhat)
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xhat *= inv
+        if train:
+            self._cache = (xhat, inv)
+        y = np.multiply(xhat, self.params["gamma"], out=None if train else xhat)
+        y += self.params["beta"]
+        return y, mean, var
+
+    def backward(self, dy):
+        xhat, inv = self._cache
+        tmp = dy * xhat
+        self.grads["gamma"] += tmp.sum(axis=(0, 1))
+        self.grads["beta"] += dy.sum(axis=(0, 1))
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on dxhat
+        dx = dy * self.params["gamma"]
+        mx = self._mean_of_product(dx, xhat)
+        dx -= dx.mean(axis=self.axes, keepdims=True)
+        dx -= np.multiply(xhat, mx, out=tmp)
+        dx *= inv
+        return dx
+
+
+class BatchNorm1d(_Norm):
     """Per-channel normalization over (batch, time) with running statistics.
 
     Train mode normalizes by batch statistics (population variance) and
     decays running stats with `momentum`; infer mode uses the running stats.
     """
 
+    axes = (0, 1)
+
     def __init__(self, channels, momentum=0.9, eps=1e-5):
-        super().__init__()
-        self.channels = channels
+        super().__init__(channels, eps)
         self.momentum = momentum
-        self.eps = eps
-        self.params = {
-            "gamma": np.ones(channels),
-            "beta": np.zeros(channels),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.buffers = {"running_mean": np.zeros(channels), "running_var": np.ones(channels)}
 
     def forward(self, x, train=False):
-        if x.ndim != 3 or x.shape[2] != self.channels:
-            raise ShapeError(f"batchnorm expects (B, T, {self.channels}), got {x.shape}")
         run_mean, run_var = self.buffers["running_mean"], self.buffers["running_var"]
         if train:
-            mu = x.mean(axis=(0, 1))
-            var = x.var(axis=(0, 1))
-            run_mean[...] = self.momentum * run_mean + (1 - self.momentum) * mu
-            run_var[...] = self.momentum * run_var + (1 - self.momentum) * var
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = x - mu
-            xhat *= inv
-            self._cache = (xhat, inv, x.shape[0] * x.shape[1])
-            y = xhat * self.params["gamma"]
-        else:
-            # running statistics are constants here: fold gamma into the scale
-            y = x - run_mean
-            y *= self.params["gamma"] / np.sqrt(run_var + self.eps)
+            y, mean, var = self._normalize(x, train)
+            run_mean[...] = self.momentum * run_mean + (1 - self.momentum) * mean.ravel()
+            run_var[...] = self.momentum * run_var + (1 - self.momentum) * var.ravel()
+            return y
+        self._check(x)
+        # running statistics are constants here: fold gamma into the scale
+        y = x - run_mean
+        y *= self.params["gamma"] / np.sqrt(run_var + self.eps)
         y += self.params["beta"]
         return y
-
-    def backward(self, dy):
-        xhat, inv, n = self._cache
-        self.grads["gamma"] += (dy * xhat).sum(axis=(0, 1))
-        self.grads["beta"] += dy.sum(axis=(0, 1))
-        dxhat = dy * self.params["gamma"]
-        # dx via the standard batch-statistics chain rule
-        sum_dxhat = dxhat.sum(axis=(0, 1))
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1))
-        return inv / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
 
 
 class MaxPool1d(Layer):
@@ -231,6 +259,8 @@ class MaxPool1d(Layer):
     """
 
     def forward(self, x, train=False):
+        if x.ndim != 3:
+            raise ShapeError(f"maxpool expects (B, T, C), got {x.shape}")
         b, t, c = x.shape
         if t < 2:
             raise ShapeError(f"maxpool needs T >= 2, got T={t}")
@@ -243,11 +273,9 @@ class MaxPool1d(Layer):
 
     def backward(self, dy):
         b, t, c = self._in_shape
-        th = t // 2
-        dpairs = np.zeros((b, th, 2, c))
-        np.put_along_axis(dpairs, self._idx[:, :, None, :], dy[:, :, None, :], axis=2)
         dx = np.zeros((b, t, c))
-        dx[:, : 2 * th, :] = dpairs.reshape(b, 2 * th, c)
+        dpairs = dx[:, : t - t % 2].reshape(b, t // 2, 2, c)  # a view: splitting an axis copies nothing
+        np.put_along_axis(dpairs, self._idx[:, :, None, :], dy[:, :, None, :], axis=2)
         return dx
 
 
@@ -255,6 +283,8 @@ class GlobalAvgPool(Layer):
     """(B, T, C) -> (B, C) mean over time."""
 
     def forward(self, x, train=False):
+        if x.ndim != 3:
+            raise ShapeError(f"global average pool expects (B, T, C), got {x.shape}")
         if train:
             self._t = x.shape[1]
         return x.mean(axis=1)
@@ -316,40 +346,13 @@ class PositionalEncodingAdd(Layer):
         return dy
 
 
-class LayerNorm(Layer):
+class LayerNorm(_Norm):
     """Normalization over the last axis with learned gain and bias."""
 
-    def __init__(self, d, eps=1e-5):
-        super().__init__()
-        self.d = d
-        self.eps = eps
-        self.params = {"gamma": np.ones(d), "beta": np.zeros(d)}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+    axes = (2,)
 
     def forward(self, x, train=False):
-        xhat = x - x.mean(axis=-1, keepdims=True)  # centred once, then scaled in place
-        var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / self.d
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv
-        if train:
-            self._cache = (xhat, inv)
-        y = np.multiply(xhat, self.params["gamma"], out=None if train else xhat)
-        y += self.params["beta"]
-        return y
-
-    def backward(self, dy):
-        xhat, inv = self._cache
-        axes = tuple(range(dy.ndim - 1))
-        tmp = dy * xhat
-        self.grads["gamma"] += tmp.sum(axis=axes)
-        self.grads["beta"] += dy.sum(axis=axes)
-        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on dxhat
-        dx = dy * self.params["gamma"]
-        mx = np.einsum("...i,...i->...", dx, xhat)[..., None] / self.d
-        dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= np.multiply(xhat, mx, out=tmp)
-        dx *= inv
-        return dx
+        return self._normalize(x, train)[0]
 
 
 class MultiHeadSelfAttention(Layer):
@@ -410,12 +413,8 @@ class MultiHeadSelfAttention(Layer):
 
     def backward(self, dy):
         x, q, k, v, attn, ctx = self._cache
-        p = self.params
-        b, t, _ = dy.shape
-        dy2 = dy.reshape(b * t, self.d_model)
-        self.grads["Wo"] += ctx.reshape(b * t, self.d_model).T @ dy2
-        self.grads["bo"] += dy2.sum(axis=0)
-        dctx = self._split(dy @ p["Wo"].T)
+        p, g = self.params, self.grads
+        dctx = self._split(_affine_backward(ctx, dy, p["Wo"], g["Wo"], g["bo"]))
         dattn = dctx @ v.transpose(0, 1, 3, 2)
         dv = attn.transpose(0, 1, 3, 2) @ dctx
         # softmax backward: dS = A * (dA - sum(dA * A))
@@ -423,12 +422,8 @@ class MultiHeadSelfAttention(Layer):
         dq = dscores @ k * self.scale
         dk = dscores.transpose(0, 1, 3, 2) @ q * self.scale
         dx = np.zeros_like(x)
-        x2 = x.reshape(b * t, self.d_model)
-        for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
-            dflat = self._merge(dmat).reshape(b * t, self.d_model)
-            self.grads[f"W{name}"] += x2.T @ dflat
-            self.grads[f"b{name}"] += dflat.sum(axis=0)
-            dx += (dflat @ p[f"W{name}"].T).reshape(b, t, self.d_model)
+        for n, dmat in (("q", dq), ("k", dk), ("v", dv)):
+            dx += _affine_backward(x, self._merge(dmat), p[f"W{n}"], g[f"W{n}"], g[f"b{n}"])
         return dx
 
 

@@ -51,6 +51,12 @@ class ExtremeEvent:
             if not (isinstance(hours, (int, np.integer)) and hours >= 0):
                 raise ConfigError(f"ExtremeEvent.{name} must be a whole number of hours "
                                   f">= 0, got {hours!r}")
+        if not np.isfinite(self.temp_offset_c):
+            raise ConfigError(f"ExtremeEvent.temp_offset_c must be finite, got {self.temp_offset_c!r}")
+        for name in ("wind_mult", "precip_mult"):
+            mult = getattr(self, name)
+            if not (np.isfinite(mult) and mult >= 0):
+                raise ConfigError(f"ExtremeEvent.{name} must be finite and >= 0, got {mult!r}")
 
     @property
     def start_time(self):
@@ -113,6 +119,8 @@ class SyntheticConfig:
                               f"{self.years} years later too, got {self.start!r}")
         if min(self.t_noise_c, self.station_noise_c, self.noise_std_mw) < 0:
             raise ConfigError("noise scales must be >= 0")
+        if not 0.0 <= self.missing_rate < 1.0:
+            raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
         if len(self.stations) != len(self.station_offsets_c):
             raise ConfigError("one temperature offset per station required")
         if self.events is None:

@@ -3,10 +3,13 @@ gridcast.nn.layers.
 
 Each function is the layer's formula written one numpy expression per line,
 every step allocating a fresh array, as the layers computed it before their
-arithmetic moved in place: LayerNorm forward and backward with `x.var`,
-the row softmax and attention context with `_merge`'s copy, BatchNorm1d in
-inference mode with gamma applied after the scale, and the Dense affine
-map. The property tests in test_nn_properties.py hold the layers to them.
+arithmetic moved in place and their kernels were shared: LayerNorm forward
+and backward with `x.var`, the row softmax and attention context with
+`_merge`'s copy, BatchNorm1d in train mode with `x.var` and the
+`n * dxhat - ...` backward, BatchNorm1d in inference mode with gamma applied
+after the scale, the Dense affine map, and Conv1d as im2col (`np.pad` plus a
+sliding view). The property tests in test_nn_properties.py hold the layers
+to them.
 """
 
 import numpy as np
@@ -57,6 +60,50 @@ def attention(x, params, n_heads):
     weights = softmax(scores)
     ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
     return ctx @ params["Wo"] + params["bo"], weights, ctx
+
+
+def conv1d(x, w, b):
+    """(output, patches) of a same-padded Conv1d whose W is
+    (kernel * c_in, c_out) in tap-major order; patches are (B, T, kernel, c_in)."""
+    kernel = w.shape[0] // x.shape[2]
+    pad = kernel // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1)
+    cols = np.ascontiguousarray(view.transpose(0, 1, 3, 2))
+    return cols.reshape(*x.shape[:2], -1) @ w + b, cols
+
+
+def conv1d_backward(dy, cols, w):
+    """(dx, dW, db) of Conv1d given the forward's patches."""
+    bsz, t, kernel, c_in = cols.shape
+    pad = kernel // 2
+    dy2 = dy.reshape(bsz * t, -1)
+    dw = cols.reshape(bsz * t, -1).T @ dy2
+    db = dy2.sum(axis=0)
+    dcols = (dy2 @ w.T).reshape(bsz, t, kernel, c_in)
+    dxp = np.zeros((bsz, t + 2 * pad, c_in))
+    for j in range(kernel):
+        dxp[:, j : j + t, :] += dcols[:, :, j, :]
+    return dxp[:, pad : pad + t, :], dw, db
+
+
+def batch_norm_train(x, gamma, beta, eps):
+    """(output, xhat, inv, mean, var) of BatchNorm1d by the statistics of x
+    over (batch, time)."""
+    mu = x.mean(axis=(0, 1))
+    var = x.var(axis=(0, 1))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return gamma * xhat + beta, xhat, inv, mu, var
+
+
+def batch_norm_backward(dy, xhat, inv, gamma):
+    """dx of BatchNorm1d in train mode given the forward's xhat and inv."""
+    n = dy.shape[0] * dy.shape[1]
+    dxhat = dy * gamma
+    sum_dxhat = dxhat.sum(axis=(0, 1))
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1))
+    return inv / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
 
 
 def batch_norm_infer(x, gamma, beta, running_mean, running_var, eps):

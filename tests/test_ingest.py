@@ -373,6 +373,16 @@ class TestStandardizer:
         with pytest.raises(StandardizerError, match="humidity"):
             ingest.fit_standardizer(frame, split)
 
+    def test_missing_value_in_train_rows_errors(self):
+        frame = populated_frame()
+        split = default_split(frame)
+        frame.data[-1, 3] = np.nan  # a test row: ignored
+        ingest.fit_standardizer(frame, split)
+        frame.data[5, 6] = np.nan
+        frame.data[7, 3] = np.nan  # the first continuous column with a NaN is named
+        with pytest.raises(StandardizerError, match=ingest.FEATURE_COLUMNS[3]):
+            ingest.fit_standardizer(frame, split)
+
     def test_transform_zero_mean_unit_std_on_train(self):
         frame = populated_frame()
         split = default_split(frame)

@@ -1,5 +1,7 @@
 """Finite-difference checks and behavioral tests for every layer type."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,10 @@ def test_relu_grads(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conv1d_grads(seed):
-    make = lambda r: nn.Conv1d(3, 4, 3, r)
-    input_grad_check(make, (2, 6, 3), seed)
-    param_grad_check(make, (2, 6, 3), seed)
+    for kernel in (1, 3, 5):
+        make = lambda r: nn.Conv1d(3, 4, kernel, r)
+        input_grad_check(make, (2, 6, 3), seed)
+        param_grad_check(make, (2, 6, 3), seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -129,7 +132,7 @@ def test_conv_block_identity_kernel_reduces_to_maxpool():
     conv = nn.Conv1d(3, 3, 3, rng)
     block = nn.Sequential([("conv", conv), ("relu", nn.ReLU()), ("pool", nn.MaxPool1d())])
     conv.params["W"][...] = 0.0
-    conv.params["W"][1] = np.eye(3)  # center tap passes channels through
+    conv.params["W"][3:6] = np.eye(3)  # center tap passes channels through
     conv.params["b"][...] = 0.0
     x = rng.uniform(0.5, 2.0, size=(2, 8, 3))  # positive so ReLU is inert
     expected = x.reshape(2, 4, 2, 3).max(axis=2)
@@ -386,6 +389,27 @@ def models_and_inputs():
     # chains that hand their input straight back: the skip must not add in place
     for rate in (0.0, 0.5):
         yield f"residual-dropout-{rate}", nn.Residual([("drop", nn.Dropout(rate, rng))]), (3, 6, 4)
+
+
+def bad_shapes():
+    """(factory, shape) per leaf layer for inputs one rank short, one rank
+    over and, where the layer has a width, one wider."""
+    for cls, (make, shape) in LEAF_LAYERS.items():
+        if cls in (nn.ReLU, nn.Dropout):  # elementwise: any shape is valid
+            continue
+        bad = {"rank-1": shape[-1:], "rank-4": (2, *shape)}
+        if cls not in (nn.MaxPool1d, nn.GlobalAvgPool):
+            bad["width"] = (*shape[:-1], shape[-1] + 1)
+        for what, bad_shape in bad.items():
+            yield pytest.param(make, bad_shape, id=f"{cls.__name__}-{what}")
+
+
+@pytest.mark.parametrize("make, shape", bad_shapes())
+def test_leaf_layers_reject_bad_shapes_naming_them(make, shape):
+    layer = make(seeded_rng(17, "bad-shape"))
+    for train in (False, True):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            layer.forward(np.ones(shape), train=train)
 
 
 def test_every_leaf_layer_class_is_covered():

@@ -133,3 +133,59 @@ def test_dense_matches_reference(b, t, d_in, d_out, seed, scale):
     for rows in (x, x[:, 0]):
         expected = ref.dense(rows, dense.params["W"], dense.params["b"])
         np.testing.assert_array_equal(dense.forward(rows), expected)
+
+
+@examples
+@given(data=st.data(), b=batches, kernel=st.sampled_from([1, 3, 5]), c_in=st.integers(1, 8),
+       c_out=st.integers(1, 8), seed=seeds, scale=scales)
+def test_conv1d_matches_im2col_reference(data, b, kernel, c_in, c_out, seed, scale):
+    t = data.draw(st.integers(kernel, 30), label="t")
+    conv = nn.Conv1d(c_in, c_out, kernel, seeded_rng(seed, "conv"))
+    w, bias = conv.params["W"], conv.params["b"]
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(b, t, c_in))
+    out_ref, cols = ref.conv1d(x, w, bias)
+    # the same patches meet the same products, and each input step sums its
+    # taps in the same order: every result is equal
+    np.testing.assert_array_equal(conv.forward(x), out_ref)
+    np.testing.assert_array_equal(conv.forward(x, train=True), out_ref)
+    dy = rng.normal(size=out_ref.shape)
+    conv.zero_grads()
+    dx = conv.backward(dy)
+    dx_ref, dw_ref, db_ref = ref.conv1d_backward(dy, cols, w)
+    np.testing.assert_array_equal(dx, dx_ref)
+    np.testing.assert_array_equal(conv.grads["W"], dw_ref)
+    np.testing.assert_array_equal(conv.grads["b"], db_ref)
+
+
+@examples
+@given(b=batches, t=steps, c=st.integers(1, 16), seed=seeds, scale=scales, offset=offsets)
+def test_batch_norm_train_matches_reference(b, t, c, seed, scale, offset):
+    rng = np.random.default_rng(seed)
+    bn = nn.BatchNorm1d(c)
+    gamma, beta = bn.params["gamma"], bn.params["beta"]
+    gamma[...] = rng.normal(size=c)
+    beta[...] = rng.normal(size=c)
+    x = offset + scale * rng.normal(size=(b, t, c))
+    out_ref, xhat_ref, inv_ref, mean_ref, var_ref = ref.batch_norm_train(x, gamma, beta, bn.eps)
+    n, m = b * t, bn.momentum
+
+    # only the variance's summation order changed: n roundings, halved by sqrt
+    out = bn.forward(x, train=True)
+    assert np.all(np.abs(out - out_ref) <= (n + 4) * EPS * (np.abs(gamma * xhat_ref) + np.abs(beta)))
+    np.testing.assert_array_equal(bn.buffers["running_mean"], (1 - m) * mean_ref)
+    run_var_ref = m * 1.0 + (1 - m) * var_ref
+    assert np.all(np.abs(bn.buffers["running_var"] - run_var_ref) <= (2 * n + 4) * EPS * run_var_ref)
+
+    dy = rng.normal(size=x.shape)
+    bn.zero_grads()
+    dx = bn.backward(dy)
+    dxhat = np.abs(dy * gamma)
+    terms = inv_ref * (dxhat + dxhat.mean(axis=(0, 1))
+                       + np.abs(xhat_ref) * (dxhat * np.abs(xhat_ref)).mean(axis=(0, 1)))
+    dx_ref = ref.batch_norm_backward(dy, xhat_ref, inv_ref, gamma)
+    assert np.all(np.abs(dx - dx_ref) <= 2 * (n + 8) * EPS * terms)
+    gamma_terms = np.abs(dy * xhat_ref).sum(axis=(0, 1))
+    assert np.all(np.abs(bn.grads["gamma"] - (dy * xhat_ref).sum(axis=(0, 1)))
+                  <= 2 * (n + 4) * EPS * gamma_terms)
+    np.testing.assert_array_equal(bn.grads["beta"], dy.sum(axis=(0, 1)))

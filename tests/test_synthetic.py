@@ -181,12 +181,16 @@ def test_event_start_outside_the_csv_timestamp_rule_is_a_config_error(start):
 
 @pytest.mark.parametrize("field, hours", [
     ("duration_h", -1), ("duration_h", 2.5), ("ramp_h", -1), ("ramp_h", 1.5),
+    # values that write files ingest rejects, or that are silently clipped
+    ("temp_offset_c", float("nan")), ("temp_offset_c", float("inf")),
+    ("wind_mult", -3.0), ("wind_mult", float("nan")),
+    ("precip_mult", -1.0), ("precip_mult", float("inf")),
 ])
 def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     # ramp_h = -1 divides by zero in the profile; a fraction would be cut to an int
     with pytest.raises(ConfigError, match=f"ExtremeEvent.{field}"):
-        synthetic.ExtremeEvent("2024-03-01T00:00:00Z", **{"duration_h": 10, field: hours},
-                               temp_offset_c=-10.0)
+        synthetic.ExtremeEvent("2024-03-01T00:00:00Z",
+                               **{"duration_h": 10, "temp_offset_c": -10.0, field: hours})
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -195,6 +199,10 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     (dict(start="2024-01-01T00:00:00"), "start"),
     (dict(start="2024-02-29", years=1), "start"),  # no 2025-02-29 to end on
     (dict(noise_std_mw=-1.0), "noise"),
+    (dict(missing_rate=1.5), "missing_rate"),
+    (dict(missing_rate=1.0), "missing_rate"),
+    (dict(missing_rate=-0.5), "missing_rate"),
+    (dict(missing_rate=float("nan")), "missing_rate"),
 ])
 def test_bad_config_is_a_config_error(overrides, field):
     with pytest.raises(ConfigError, match=field):
