@@ -37,15 +37,25 @@ offset (+00:00, -05:00, ...) is rejected, and so is an empty or NaT field.
 A weather value field may be empty (missing, NaN); anything else must be a
 finite number in the field's range, and wx_code one of WX_CODES.
 
-write_load_csv and write_weather_csv emit the same format, _BLOCK_ROWS rows
-at a time: each float as its shortest round-trip repr and NaN as an empty
-field, so parse_*_csv(write_*_csv(x)) returns x bit for bit. Split bounds and
+The CSV format is the one the writers emit: UTF-8 text, a header line,
+then one row per line with its fields joined by commas. No field is quoted,
+so none may hold a comma, a double quote or a line break; the readers reject
+a row with a '"' in it, a byte that is not UTF-8 and a field longer than
+_MAX_FIELD_CHARS characters, each naming the line. Lines end in \n on
+output; \n and \r\n are read (and a lone \r ends a line too, as in Python's
+universal newlines); the final newline is optional. Station ids obey the
+same rule, checked on write by check_station_id.
+
+write_load_csv and write_weather_csv write _BLOCK_ROWS rows at a time: each
+float as its shortest round-trip repr and NaN as an empty field, so
+parse_*_csv(write_*_csv(x)) returns x bit for bit. Split bounds and
 synthetic event starts take the timestamp rule through parse_timestamp.
 
-The CSV parsers are columnar. They take csv.reader rows in blocks of
-_BLOCK_ROWS, transpose each block into one tuple of strings per column and
-convert each column in one pass. Every check is a mask over the block, and
-its first set row names the line in the error; only when a conversion
+The CSV parsers are columnar. They read _BLOCK_ROWS lines at a time, check
+each line's comma count, join the block into one string and split it once
+on commas and newlines; column j is then every width-th field from field j.
+Each column is converted in one pass. Every check is a mask over the block,
+and its first set row names the line in the error; only when a conversion
 raises is that column scanned field by field for the first bad one. Checks
 run column by column, so in a file with several faults the one reported is
 the first row failing the first check that fails, not always the first
@@ -53,7 +63,6 @@ faulty row. Weather (station, timestamp) duplicates are found after the
 last block with one stable lexsort.
 """
 
-import csv
 import datetime as dt
 import itertools
 import math
@@ -108,6 +117,8 @@ WINDOW_HOURS = 24
 # The CSV readers and writers handle this many rows at a time: enough to keep
 # per-block overhead small, few enough that a block's field strings stay a few MB.
 _BLOCK_ROWS = 8192
+# The longest CSV field the readers accept, the csv module's default limit.
+_MAX_FIELD_CHARS = 131_072
 
 
 def format_timestamp(ts):
@@ -137,30 +148,78 @@ class WeatherTable:
         return self.timestamps.size
 
 
+def check_station_id(station):
+    """Raise ConfigError naming `stations` unless `station` is a str that a
+    weather CSV field holds and reads back as itself."""
+    if not isinstance(station, str) or not station:
+        problem = "is not a non-empty string"
+    elif station != station.strip():
+        problem = "has surrounding whitespace"
+    elif any(char in station for char in ',"\r\n'):
+        problem = "holds a comma, a double quote or a line break"
+    elif len(station) > _MAX_FIELD_CHARS:
+        problem = f"is longer than {_MAX_FIELD_CHARS} characters"
+    else:
+        return
+    raise ConfigError(f"stations: station id {station!r} {problem}")
+
+
+def _not_utf8(text):
+    """True if `text`, read with errors="surrogateescape", held a byte that
+    is not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _read_columns(path, header, kind):
     """Yield (lines, columns) for each block of up to _BLOCK_ROWS data rows.
 
-    Blank rows are skipped; `lines` holds the line number of each row kept,
-    and `columns` one tuple of field strings per header column.
-    Rejects a header other than `header` and rows of the wrong width.
+    Blank lines are skipped; `lines` holds the line number of each row kept,
+    and `columns` one list of field strings per header column. Rejects a
+    header other than `header`, and rows holding a byte that is not UTF-8
+    or a '"', of the wrong width, or with a field over _MAX_FIELD_CHARS.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
+    width = len(header)
+    # surrogateescape keeps a byte that is not UTF-8 as a lone surrogate, so
+    # the block check below reports it with its line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        found = next(fh, "").removesuffix("\n").split(",")
         if found != header:
             raise CsvParseError(f"unknown {kind} header {found!r}, expected {header}")
         first = 2
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            lines = np.arange(first, first + len(rows))
-            first += len(rows)
-            widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-            if not widths.all():
-                rows = [row for row in rows if row]
-                lines, widths = lines[widths > 0], widths[widths > 0]
-            _reject(widths != len(header), lines,
-                    lambda i: f"expected {len(header)} fields, got {widths[i]}")
-            if rows:
-                yield lines, tuple(zip(*rows))
+        while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+            lines = np.arange(first, first + len(block))
+            first += len(block)
+            if not block[-1].endswith("\n"):  # the file's last line may lack it
+                block[-1] += "\n"
+            if "\n" in block:
+                kept = np.array([text != "\n" for text in block])
+                block = list(itertools.compress(block, kept))
+                lines = lines[kept]
+                if not block:
+                    continue
+            text = "".join(block)
+            if not text.isascii():
+                _reject(np.array([_not_utf8(row) for row in block]), lines,
+                        lambda i: "bytes that are not UTF-8")
+            if '"' in text:
+                _reject(np.array(['"' in row for row in block]), lines,
+                        lambda i: "a '\"' in a row; CSV fields are never quoted")
+            commas = np.fromiter(map(str.count, block, itertools.repeat(",")),
+                                 dtype=np.intp, count=len(block))
+            _reject(commas != width - 1, lines,
+                    lambda i: f"expected {width} fields, got {commas[i] + 1}")
+            if max(map(len, block)) > _MAX_FIELD_CHARS:  # no field can be longer
+                _reject(np.array([max(map(len, row[:-1].split(","))) > _MAX_FIELD_CHARS
+                                  for row in block]), lines,
+                        lambda i: f"a field longer than {_MAX_FIELD_CHARS} characters")
+            # every line ends in \n: one split on commas and newlines leaves
+            # width fields per row and an empty one after the last
+            fields = text.replace("\n", ",").split(",")
+            yield lines, tuple(fields[j:-1:width] for j in range(width))
 
 
 def _reject(bad, lines, message):
@@ -235,11 +294,12 @@ def _float_texts(values):
 def _write_csv(path, header, n_rows, block_columns):
     """Write `header`, then the rows of block_columns(rows), one list of
     field texts per column, for each slice of _BLOCK_ROWS rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
-            writer.writerows(zip(*block_columns(slice(start, start + _BLOCK_ROWS))))
+            fh.write("\n".join(map(",".join, zip(*block_columns(
+                slice(start, start + _BLOCK_ROWS))))))
+            fh.write("\n")
 
 
 def write_load_csv(path, load):
@@ -250,7 +310,10 @@ def write_load_csv(path, load):
 
 def write_weather_csv(path, weather):
     """Write a WeatherTable in the format parse_weather_csv reads; NaN
-    values become empty fields."""
+    values become empty fields. Raises ConfigError for a station id that
+    check_station_id rejects, before the file is opened."""
+    for station in set(weather.station.tolist()):
+        check_station_id(station)
     _write_csv(path, WEATHER_HEADER, len(weather), lambda rows: (
         weather.station[rows].tolist(), _timestamp_texts(weather.timestamps[rows]),
         *map(_float_texts, weather.values[rows].T)))
@@ -392,8 +455,6 @@ def align_hourly(load, weather, stations):
             f"none of the requested stations {sorted(stations)} appear in the weather data")
 
     n = len(load)
-    sums = np.zeros((n, len(WEATHER_COLUMNS)))
-    counts = np.zeros((n, len(WEATHER_COLUMNS)))
     in_set = np.isin(weather.station, sorted(usable))
     w_ts = weather.timestamps[in_set]
     w_vals = weather.values[in_set]
@@ -401,10 +462,12 @@ def align_hourly(load, weather, stations):
     inside = idx < n
     inside[inside] &= load.timestamps[idx[inside]] == w_ts[inside]
     idx, w_vals = idx[inside], w_vals[inside]
-    for c in range(len(WEATHER_COLUMNS)):
-        ok = ~np.isnan(w_vals[:, c])
-        np.add.at(sums[:, c], idx[ok], w_vals[ok, c])
-        np.add.at(counts[:, c], idx[ok], 1.0)
+    # one bin per frame cell; bincount sums each bin in record order
+    n_cols = len(WEATHER_COLUMNS)
+    ok = ~np.isnan(w_vals)
+    cells = (idx[:, None] * n_cols + np.arange(n_cols))[ok]
+    sums = np.bincount(cells, weights=w_vals[ok], minlength=n * n_cols).reshape(n, n_cols)
+    counts = np.bincount(cells, minlength=n * n_cols).reshape(n, n_cols)
 
     if counts.sum() == 0:
         raise AlignmentError("load and weather time ranges do not overlap")
@@ -670,14 +733,15 @@ def build_frame(load, weather, stations, holidays, max_gap_hours=6):
 def write_holiday_file(path, holidays):
     """Write a set of datetime.date in the format parse_holiday_file reads:
     one ISO date per line, in date order."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{d.isoformat()}\n" for d in sorted(holidays))
 
 
 def parse_holiday_file(path):
     """One ISO date per line; blank lines and '#' comments ignored."""
     out = set()
-    with open(path) as fh:
+    # a byte that is not UTF-8 stays a lone surrogate and fails as a bad date
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -123,6 +123,10 @@ class SyntheticConfig:
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
         if len(self.stations) != len(self.station_offsets_c):
             raise ConfigError("one temperature offset per station required")
+        for station in self.stations:
+            ingest.check_station_id(station)
+        if len(set(self.stations)) != len(self.stations):
+            raise ConfigError(f"stations: {self.stations!r} repeats a station id")
         if self.events is None:
             object.__setattr__(
                 self, "events", default_event_schedule(start_date.year, self.years))

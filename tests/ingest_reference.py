@@ -7,6 +7,10 @@ loops, and `impute_linear` and `add_lag_feature` work one hourly segment
 (`segments`) at a time. The property tests in test_ingest_properties.py
 hold the columnar code to the same results. The timestamp rule is the current one: a trailing Z is the
 only UTC offset accepted, and an empty or NaT field is a bad timestamp.
+
+The parsers read rows with the csv module, a general CSV parser, so on the
+unquoted files the properties draw they check gridcast.ingest's own line
+splitting, \n and \r\n line ends and a missing final newline included.
 """
 
 import csv

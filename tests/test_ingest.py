@@ -152,6 +152,79 @@ class TestParseWeather:
             ingest.parse_weather_csv(p)
 
 
+# station ids a CSV field cannot hold and read back as themselves
+BAD_STATION_IDS = ["", " BKS", "BKS ", "A,B", 'A"B', "A\rB", "A\nB", "K" * 131_073]
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("station", BAD_STATION_IDS, ids=repr)
+    def test_writer_rejects_a_station_id_the_format_cannot_hold(self, tmp_path, station):
+        table = weather_rows("2024-01-01T00:00:00", {"BKS": [1.0], station: [2.0]})
+        path = tmp_path / "wx.csv"
+        with pytest.raises(ConfigError, match="stations: station id"):
+            ingest.write_weather_csv(path, table)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("station", ['"JDD"', '"A,B"', 'J"DD'])
+    def test_a_quote_is_rejected_with_its_line(self, tmp_path, station):
+        # the csv module unquoted the first two; the format has no quoting
+        p = tmp_path / "wx.csv"
+        write_weather_csv(p, ["BKS,2024-01-01T00:00:00Z,10.0,9.0,50,3.0,0.0,0",
+                              f"{station},2024-01-01T00:00:00Z,10.0,9.0,50,3.0,0.0,0"])
+        with pytest.raises(CsvParseError, match="line 3: .*never quoted"):
+            ingest.parse_weather_csv(p)
+
+    def test_a_byte_that_is_not_utf8_is_rejected_with_its_line(self, tmp_path):
+        p = tmp_path / "load.csv"
+        p.write_bytes(b"timestamp_utc,demand_mw\n2024-01-01T00:00:00Z,1.0\n\n"
+                      b"2024-01-01T01:00:00Z,1.0\xff\n")
+        with pytest.raises(CsvParseError, match="line 4: .*not UTF-8"):
+            ingest.parse_load_csv(p)
+
+    def test_a_field_over_the_limit_is_rejected_with_its_line(self, tmp_path):
+        p = tmp_path / "wx.csv"
+        rows = [f"{'K' * n},2024-01-01T00:00:00Z,10.0,9.0,50,3.0,0.0,0"
+                for n in (131_072, 131_073)]
+        write_weather_csv(p, rows[:1])
+        assert ingest.parse_weather_csv(p).station[0] == "K" * 131_072
+        write_weather_csv(p, rows)
+        with pytest.raises(CsvParseError, match="line 3: .*longer than 131072"):
+            ingest.parse_weather_csv(p)
+
+    def test_crlf_lines_and_a_missing_final_newline_are_read(self, tmp_path):
+        p = tmp_path / "load.csv"
+        p.write_bytes(b"timestamp_utc,demand_mw\r\n2024-01-01T00:00:00Z,1.0\r\n\r\n"
+                      b"2024-01-01T01:00:00Z,2.5")
+        series = ingest.parse_load_csv(p)
+        np.testing.assert_array_equal(series.timestamps, hours("2024-01-01T00:00:00", 2))
+        assert series.demand_mw.tolist() == [1.0, 2.5]
+
+    def test_files_are_read_and_written_as_utf8(self, tmp_path, monkeypatch):
+        encodings = []
+
+        def spy_open(*args, **kwargs):
+            encodings.append(kwargs.get("encoding"))
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", spy_open, raising=False)
+        table = weather_rows("2024-01-01T00:00:00", {"ÅRE": [1.0], "JDD": [2.0]})
+        ingest.write_weather_csv(tmp_path / "wx.csv", table)
+        assert "ÅRE".encode("utf-8") in (tmp_path / "wx.csv").read_bytes()
+        assert ingest.parse_weather_csv(tmp_path / "wx.csv").station.tolist() == ["ÅRE", "JDD"]
+        load = load_series("2024-01-01T00:00:00", [1.0])
+        ingest.write_load_csv(tmp_path / "load.csv", load)
+        ingest.parse_load_csv(tmp_path / "load.csv")
+        ingest.write_holiday_file(tmp_path / "holidays.txt", {dt.date(2024, 7, 4)})
+        ingest.parse_holiday_file(tmp_path / "holidays.txt")
+        assert encodings == ["utf-8"] * 6
+
+    def test_a_holiday_byte_that_is_not_utf8_is_a_bad_date_with_its_line(self, tmp_path):
+        p = tmp_path / "holidays.txt"
+        p.write_bytes(b"# \xff in a comment is skipped\n2024-07-04\n2024-12-2\xff\n")
+        with pytest.raises(CsvParseError, match="line 3: bad holiday date"):
+            ingest.parse_holiday_file(p)
+
+
 def load_series(start, demand):
     demand = np.asarray(demand, dtype=float)
     return ingest.LoadSeries(hours(start, demand.size), demand)

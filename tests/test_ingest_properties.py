@@ -230,6 +230,49 @@ def test_weather_parser_reports_duplicates_like_the_reference(rows, block_rows, 
     assert_same_error(ref_exc, new_exc)
 
 
+def csv_text_with_drawn_line_ends(draw, header, lines):
+    """The file of csv_text with each line end drawn as \\n or \\r\\n, and
+    the last one drawn to be left off."""
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines) + 1, max_size=len(lines) + 1))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip([",".join(header)] + lines, ends))
+
+
+# kind -> (parser name, header, row strategy, faults)
+PARSERS = {
+    "load": ("parse_load_csv", ingest.LOAD_HEADER, load_rows, LOAD_FAULTS),
+    "weather": ("parse_weather_csv", ingest.WEATHER_HEADER, weather_rows, WEATHER_FAULTS),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@given(block_rows=st.integers(1, 9), data=st.data())
+def test_parsers_match_reference_on_any_line_ending(kind, block_rows, data):
+    parse_name, header, rows, _ = PARSERS[kind]
+    lines = with_blank_lines(data.draw, data.draw(rows()))
+    text = csv_text_with_drawn_line_ends(data.draw, header, lines)
+    (expected, ref_exc), (got, exc) = parse_both(parse_name, text, block_rows)
+    assert ref_exc is None and exc is None, (ref_exc, exc)
+    assert_same_arrays(expected, got)
+
+
+@pytest.mark.parametrize("kind, fault", [(kind, fault) for kind in sorted(PARSERS)
+                                         for fault in sorted(PARSERS[kind][3])])
+@given(block_rows=st.integers(1, 9), data=st.data())
+@settings(max_examples=10)
+def test_parsers_report_a_fault_like_the_reference_on_any_line_ending(
+        kind, fault, block_rows, data):
+    parse_name, header, rows, faults = PARSERS[kind]
+    rows = data.draw(rows())
+    at = data.draw(st.integers(0, len(rows) - 1))
+    rows[at] = ",".join(faults[fault](rows[at].split(",")))
+    text = csv_text_with_drawn_line_ends(data.draw, header, with_blank_lines(data.draw, rows))
+    (_, ref_exc), (_, new_exc) = parse_both(parse_name, text, block_rows)
+    assert_same_error(ref_exc, new_exc)
+
+
 def test_parsers_match_reference_on_a_synthetic_year(tmp_path):
     # full-size blocks: 8 760 load rows and 26 280 weather rows
     cfg = synthetic.SyntheticConfig(years=1, seed=2, missing_rate=0.1)

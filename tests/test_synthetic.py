@@ -207,3 +207,18 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
 def test_bad_config_is_a_config_error(overrides, field):
     with pytest.raises(ConfigError, match=field):
         synthetic.SyntheticConfig(**overrides)
+
+
+@pytest.mark.parametrize("stations", [
+    ("", "JDD", "TME"),
+    (" BKS", "JDD", "TME"),  # ingest would strip it and average the other two
+    ("BKS\t", "JDD", "TME"),
+    ("A,B", "JDD", "TME"),
+    ('A"B', "JDD", "TME"),
+    ("A\rB", "JDD", "TME"),
+    ("A\nB", "JDD", "TME"),
+    ("BKS", "JDD", "BKS"),
+], ids=repr)
+def test_station_id_the_csv_format_cannot_hold_is_a_config_error(stations):
+    with pytest.raises(ConfigError, match="stations"):
+        synthetic.SyntheticConfig(stations=stations)
