@@ -7,7 +7,7 @@ Stages (each pure, composable):
     impute_linear                       ->  small interior gaps filled
     encode_calendar                     ->  hour/day-of-week/month/flags
     add_lag_feature                     ->  24-hour-lagged demand column
-    fit_standardizer / make_windows     ->  per-split (M, 24, 13) windows
+    fit_standardizer / make_windows     ->  per-split WindowSets of (M, 24, 13) inputs
 
 The canonical feature order is FEATURE_COLUMNS; the first seven columns are
 continuous and get standardized, the rest are plain numeric encodings.
@@ -20,6 +20,13 @@ timestamps starts a new one. _hours_into_segment is the one definition of
 that rule, and three stages read it: impute_linear fills no run that begins
 or ends a segment, add_lag_feature drops each segment's first 24 rows, and
 make_windows takes a target only with the 24 rows before it in its segment.
+
+make_windows standardizes the frame once, into one read-only array that the
+three splits' WindowSets share as std_data; a window is the row it starts at
+(starts), not a copy of its rows. WindowSet.inputs gathers the (M, 24, 13)
+copies through a sliding-window view of std_data on first use and keeps
+them, and WindowSet.slice keeps the shared array and selects start rows, so
+a batch's inputs gather only its own windows.
 
 File formats, each with its writer and its reader here (CSV version 1,
 rejected if the header differs):
@@ -48,7 +55,9 @@ same rule, checked on write by check_station_id.
 
 write_load_csv and write_weather_csv write _BLOCK_ROWS rows at a time: each
 float as its shortest round-trip repr and NaN as an empty field, so
-parse_*_csv(write_*_csv(x)) returns x bit for bit. Split bounds and
+parse_*_csv(write_*_csv(x)) returns x bit for bit. Before opening the file
+they run the readers' own value and order checks over the whole table, so
+a table its reader would reject is not written. Split bounds and
 synthetic event starts take the timestamp rule through parse_timestamp.
 
 The CSV parsers are columnar. They read _BLOCK_ROWS lines at a time, check
@@ -64,6 +73,7 @@ last block with one stable lexsort.
 """
 
 import datetime as dt
+import functools
 import itertools
 import math
 import warnings
@@ -223,10 +233,14 @@ def _read_columns(path, header, kind):
 
 
 def _reject(bad, lines, message):
-    """Raise CsvParseError for the first row flagged in the mask `bad`;
-    message(i) describes row i."""
+    """Raise for the first row flagged in the mask `bad`; message(i)
+    describes row i. A reader passes each row's line number in `lines` and
+    gets a CsvParseError naming the line; a writer passes None and gets a
+    ConfigError naming the row's index in the table."""
     if bad.any():
         i = int(np.argmax(bad))
+        if lines is None:
+            raise ConfigError(f"row {i}: {message(i)}")
         raise CsvParseError(message(i), line=int(lines[i]))
 
 
@@ -274,9 +288,72 @@ def parse_timestamp(value, field):
 def _timestamps(texts, lines):
     """Parse a timestamp column and require every value on an exact hour."""
     ts = _convert(_datetimes, texts, lines, "timestamp")
-    _reject(ts != ts.astype("datetime64[h]"), lines,
-            lambda i: f"timestamp {texts[i]!r} is not on an exact hour")
+    _check_on_hours(ts, lines, texts.__getitem__)
     return ts
+
+
+# The value checks below are shared by the readers, one block of rows at a
+# time, and the writers, over the whole table before the file is opened, so
+# a writer rejects what its reader would; see _reject for `lines`.
+
+def _check_on_hours(ts, lines, text):
+    """Every timestamp on an exact hour; text(i) is row i's field."""
+    _reject(ts != ts.astype("datetime64[h]"), lines,
+            lambda i: f"timestamp {text(i)!r} is not on an exact hour")
+
+
+def _check_demand(mw, lines):
+    _reject(~((mw > 0) & (mw < math.inf)), lines,
+            lambda i: f"demand_mw must be positive and finite, got {float(mw[i])}")
+
+
+def _check_increasing(ts):
+    """Raise OrderingError naming the first repeated or earlier timestamp."""
+    diffs = np.diff(ts)
+    if np.any(diffs == np.timedelta64(0, "s")):
+        where = int(np.flatnonzero(diffs == np.timedelta64(0, "s"))[0])
+        raise OrderingError(f"duplicate timestamp {format_timestamp(ts[where + 1])}")
+    if np.any(diffs < np.timedelta64(0, "s")):
+        where = int(np.flatnonzero(diffs < np.timedelta64(0, "s"))[0])
+        raise OrderingError(
+            f"timestamps not increasing at {format_timestamp(ts[where + 1])}")
+
+
+# (name, lo, hi) of the weather value fields, in WEATHER_HEADER order
+_WEATHER_FIELDS = (
+    ("temp_c", -math.inf, math.inf),
+    ("feels_like_c", -math.inf, math.inf),
+    ("humidity_pct", 0, 100),
+    ("wind_ms", 0, math.inf),
+    ("precip_mm", 0, math.inf),
+    ("wx_code", -math.inf, math.inf),
+)
+
+
+def _check_weather_field(field, vals, missing, lines):
+    """Each value of one _WEATHER_FIELDS field is flagged in `missing` or is
+    finite and in the field's range."""
+    name, lo, hi = field
+    _reject(~missing & ~((lo <= vals) & (vals <= hi) & np.isfinite(vals)), lines,
+            lambda i: f"{name}={float(vals[i])} is not a finite value in [{lo}, {hi}]")
+
+
+def _check_wx_code(wx_code, lines):
+    _reject(~np.isnan(wx_code) & ~np.isin(wx_code, _WX_CODE_VALUES), lines,
+            lambda i: f"wx_code={float(wx_code[i])} is not one of "
+                      f"{sorted(WX_CODES.values())}")
+
+
+def _check_station_hours_unique(station, ts):
+    """Raise OrderingError naming the first record, in table order, that
+    repeats an earlier record's station and timestamp."""
+    order = np.lexsort((ts, station))  # stable: equal keys stay in table order
+    repeat = ((station[order[1:]] == station[order[:-1]])
+              & (ts[order[1:]] == ts[order[:-1]]))
+    if repeat.any():
+        first = int(order[1:][repeat].min())
+        raise OrderingError(f"duplicate record for station {station[first]} "
+                            f"at {format_timestamp(ts[first])}")
 
 
 def _optional_floats(texts):
@@ -293,7 +370,10 @@ def _float_texts(values):
 
 def _write_csv(path, header, n_rows, block_columns):
     """Write `header`, then the rows of block_columns(rows), one list of
-    field texts per column, for each slice of _BLOCK_ROWS rows."""
+    field texts per column, for each slice of _BLOCK_ROWS rows. Raises
+    ConfigError for a table of no rows, which the readers reject."""
+    if not n_rows:
+        raise ConfigError("no rows to write; a CSV file needs at least one data row")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
@@ -303,17 +383,34 @@ def _write_csv(path, header, n_rows, block_columns):
 
 
 def write_load_csv(path, load):
-    """Write a LoadSeries in the format parse_load_csv reads."""
+    """Write a LoadSeries in the format parse_load_csv reads. Before the
+    file is opened, raises what parse_load_csv would raise reading it back:
+    ConfigError naming the row for a timestamp off the hour or a demand
+    that is not positive and finite, OrderingError for timestamps that do
+    not strictly increase."""
+    _check_on_hours(load.timestamps, None, lambda i: format_timestamp(load.timestamps[i]))
+    _check_demand(load.demand_mw, None)
+    _check_increasing(load.timestamps)
     _write_csv(path, LOAD_HEADER, len(load), lambda rows: (
         _timestamp_texts(load.timestamps[rows]), _float_texts(load.demand_mw[rows])))
 
 
 def write_weather_csv(path, weather):
     """Write a WeatherTable in the format parse_weather_csv reads; NaN
-    values become empty fields. Raises ConfigError for a station id that
-    check_station_id rejects, before the file is opened."""
+    values become empty fields. Before the file is opened, raises
+    ConfigError for a station id that check_station_id rejects, and what
+    parse_weather_csv would raise reading it back: ConfigError naming the
+    row for a timestamp off the hour, a value that is neither NaN nor
+    finite and in range, or a wx_code not in WX_CODES, OrderingError for a
+    repeated (station, timestamp)."""
     for station in set(weather.station.tolist()):
         check_station_id(station)
+    _check_on_hours(weather.timestamps, None,
+                    lambda i: format_timestamp(weather.timestamps[i]))
+    for field, vals in zip(_WEATHER_FIELDS, weather.values.T):
+        _check_weather_field(field, vals, np.isnan(vals), None)
+    _check_wx_code(weather.values[:, -1], None)
+    _check_station_hours_unique(weather.station, weather.timestamps)
     _write_csv(path, WEATHER_HEADER, len(weather), lambda rows: (
         weather.station[rows].tolist(), _timestamp_texts(weather.timestamps[rows]),
         *map(_float_texts, weather.values[rows].T)))
@@ -327,32 +424,13 @@ def parse_load_csv(path):
         stamps.append(_timestamps(ts_texts, lines))
         mw = _convert(lambda texts: np.array(list(map(float, texts))),
                       mw_texts, lines, "demand value")
-        _reject(~((mw > 0) & (mw < math.inf)), lines,
-                lambda i: f"demand_mw must be positive and finite, got {float(mw[i])}")
+        _check_demand(mw, lines)
         demands.append(mw)
     if not stamps:
         raise CsvParseError("load file has no data rows")
     ts_arr = np.concatenate(stamps)
-    diffs = np.diff(ts_arr)
-    if np.any(diffs == np.timedelta64(0, "s")):
-        where = int(np.flatnonzero(diffs == np.timedelta64(0, "s"))[0])
-        raise OrderingError(f"duplicate timestamp {format_timestamp(ts_arr[where + 1])}")
-    if np.any(diffs < np.timedelta64(0, "s")):
-        where = int(np.flatnonzero(diffs < np.timedelta64(0, "s"))[0])
-        raise OrderingError(
-            f"timestamps not increasing at {format_timestamp(ts_arr[where + 1])}")
+    _check_increasing(ts_arr)
     return LoadSeries(ts_arr, np.concatenate(demands))
-
-
-# (name, lo, hi) of the weather value fields, in WEATHER_HEADER order
-_WEATHER_FIELDS = (
-    ("temp_c", -math.inf, math.inf),
-    ("feels_like_c", -math.inf, math.inf),
-    ("humidity_pct", 0, 100),
-    ("wind_ms", 0, math.inf),
-    ("precip_mm", 0, math.inf),
-    ("wx_code", -math.inf, math.inf),
-)
 
 
 def parse_weather_csv(path):
@@ -364,33 +442,22 @@ def parse_weather_csv(path):
         _reject(station == "", lines, lambda i: "empty station id")
         ts = _timestamps(columns[1], lines)
         block = []
-        for (name, lo, hi), texts in zip(_WEATHER_FIELDS, columns[2:]):
-            vals = _convert(_optional_floats, texts, lines, f"{name} value")
-            nan = np.isnan(vals)
-            bad = ~nan & ~((lo <= vals) & (vals <= hi) & np.isfinite(vals))
+        for field, texts in zip(_WEATHER_FIELDS, columns[2:]):
+            vals = _convert(_optional_floats, texts, lines, f"{field[0]} value")
+            missing = np.isnan(vals)
             # NaN is allowed only from an empty field, not from a field reading "nan"
-            if np.count_nonzero(nan) != texts.count(""):
-                bad |= nan & (np.array(texts, dtype=object) != "")
-            _reject(bad, lines, lambda i: (
-                f"{name}={float(vals[i])} is not a finite value in [{lo}, {hi}]"))
+            if np.count_nonzero(missing) != texts.count(""):
+                missing &= np.array(texts, dtype=object) == ""
+            _check_weather_field(field, vals, missing, lines)
             block.append(vals)
-        wx_code = block[-1]
-        _reject(~np.isnan(wx_code) & ~np.isin(wx_code, _WX_CODE_VALUES), lines,
-                lambda i: f"wx_code={float(wx_code[i])} is not one of "
-                          f"{sorted(WX_CODES.values())}")
+        _check_wx_code(block[-1], lines)
         stations.append(station)
         stamps.append(ts)
         values.append(np.column_stack(block))
     if not stamps:
         raise CsvParseError("weather file has no data rows")
     station, ts = np.concatenate(stations), np.concatenate(stamps)
-    order = np.lexsort((ts, station))  # stable: equal keys stay in file order
-    repeat = ((station[order[1:]] == station[order[:-1]])
-              & (ts[order[1:]] == ts[order[:-1]]))
-    if repeat.any():
-        first = int(order[1:][repeat].min())
-        raise OrderingError(f"duplicate record for station {station[first]} "
-                            f"at {format_timestamp(ts[first])}")
+    _check_station_hours_unique(station, ts)
     return WeatherTable(station, ts, np.concatenate(values))
 
 
@@ -657,12 +724,17 @@ def fit_standardizer(frame, split):
 class WindowSet:
     """Model-ready samples: standardized 24x13 inputs with next-hour targets.
 
-    Targets are retained both standardized (targets_std) and in MW
-    (targets_mw); target_air_temp_c is the raw station-mean temperature at
-    the target hour for the envelope penalty.
+    A window is a start row into std_data, the whole standardized frame:
+    window m is rows starts[m] .. starts[m] + 23, and its target is the row
+    after them. std_data is read-only and shared by the three splits of one
+    make_windows call and by every slice of them; no window's rows are
+    copied until `inputs` is read. Targets are retained both standardized
+    (targets_std) and in MW (targets_mw); target_air_temp_c is the raw
+    station-mean temperature at the target hour for the envelope penalty.
     """
 
-    inputs: np.ndarray
+    std_data: np.ndarray
+    starts: np.ndarray
     targets_mw: np.ndarray
     targets_std: np.ndarray
     target_timestamps: np.ndarray
@@ -670,23 +742,34 @@ class WindowSet:
     split_tag: str
 
     def __len__(self):
-        return self.inputs.shape[0]
+        return self.starts.size
+
+    @functools.cached_property
+    def inputs(self):
+        """(M, 24, 13) C-contiguous copy of every window's rows, gathered on
+        first use through one sliding-window view of std_data and kept."""
+        blocks = sliding_window_view(self.std_data, (WINDOW_HOURS, N_FEATURES))
+        return blocks[self.starts, 0]
 
     def slice(self, sel):
+        """The windows `sel` selects, over the same std_data; their inputs
+        gather only their own rows."""
         return WindowSet(
-            self.inputs[sel], self.targets_mw[sel], self.targets_std[sel],
+            self.std_data, self.starts[sel], self.targets_mw[sel], self.targets_std[sel],
             self.target_timestamps[sel], self.target_air_temp_c[sel], self.split_tag)
 
 
 def make_windows(frame, standardizer, split):
     """Build per-split WindowSets; window rows [t-23, t] predict hour t+1.
 
-    Windows never cross split boundaries or hourly gaps. Raises WindowError
+    Windows never cross split boundaries or hourly gaps. All three splits
+    share one read-only standardized copy of the frame. Raises WindowError
     if any split produces no window.
     """
     if np.isnan(frame.data).any():
         raise WindowError("frame must be fully imputed before windowing")
     std_data = standardizer.transform(frame.data)
+    std_data.flags.writeable = False
     out = {}
     for tag in ("train", "val", "test"):
         lo, hi = split.range_of(tag)
@@ -695,10 +778,9 @@ def make_windows(frame, standardizer, split):
         targets_idx = sel[_hours_into_segment(frame.timestamps[sel]) >= WINDOW_HOURS]
         if not targets_idx.size:
             raise WindowError(f"split {tag!r} is shorter than 25 contiguous hours")
-        # one gather from the view of every 24-row block of the frame
-        blocks = sliding_window_view(std_data, (WINDOW_HOURS, N_FEATURES))
         out[tag] = WindowSet(
-            inputs=blocks[targets_idx - WINDOW_HOURS, 0],
+            std_data=std_data,
+            starts=targets_idx - WINDOW_HOURS,
             targets_mw=frame.data[targets_idx, DEMAND].copy(),
             targets_std=standardizer.standardize_demand(frame.data[targets_idx, DEMAND]),
             target_timestamps=frame.timestamps[targets_idx].copy(),

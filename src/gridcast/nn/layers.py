@@ -261,21 +261,22 @@ class MaxPool1d(Layer):
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ShapeError(f"maxpool expects (B, T, C), got {x.shape}")
-        b, t, c = x.shape
+        t = x.shape[1]
         if t < 2:
             raise ShapeError(f"maxpool needs T >= 2, got T={t}")
-        th = t // 2
-        pairs = x[:, : 2 * th, :].reshape(b, th, 2, c)
+        end = 2 * (t // 2)
+        first, second = x[:, 0:end:2], x[:, 1:end:2]
         if train:
-            self._idx = pairs.argmax(axis=2)
+            self._second_wins = second > first  # a tie goes to the first
             self._in_shape = x.shape
-        return pairs.max(axis=2)
+        return np.maximum(first, second)
 
     def backward(self, dy):
-        b, t, c = self._in_shape
-        dx = np.zeros((b, t, c))
-        dpairs = dx[:, : t - t % 2].reshape(b, t // 2, 2, c)  # a view: splitting an axis copies nothing
-        np.put_along_axis(dpairs, self._idx[:, :, None, :], dy[:, :, None, :], axis=2)
+        end = 2 * dy.shape[1]
+        dx = np.zeros(self._in_shape)
+        # each half of the pairs takes dy where it won and a zero elsewhere
+        np.multiply(dy, self._second_wins, out=dx[:, 1:end:2])
+        np.multiply(dy, ~self._second_wins, out=dx[:, 0:end:2])
         return dx
 
 

@@ -16,6 +16,7 @@ splitting, \n and \r\n line ends and a missing final newline included.
 import csv
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from gridcast.ingest import (
     GapReport,
     LoadSeries,
     WeatherTable,
-    WindowSet,
     format_timestamp,
 )
 
@@ -240,6 +240,19 @@ def add_lag_feature(frame):
     return AlignedFrame(ts, data), dropped
 
 
+@dataclass(frozen=True)
+class Windows:
+    """One split's windows with each window's 24 rows stacked into inputs;
+    the properties compare a WindowSet's fields, inputs included, with these."""
+
+    inputs: np.ndarray
+    targets_mw: np.ndarray
+    targets_std: np.ndarray
+    target_timestamps: np.ndarray
+    target_air_temp_c: np.ndarray
+    split_tag: str
+
+
 def make_windows(frame, standardizer, split):
     if frame.missing.any():
         raise WindowError("frame must be fully imputed before windowing")
@@ -258,7 +271,7 @@ def make_windows(frame, standardizer, split):
         if not windows:
             raise WindowError(f"split {tag!r} is shorter than 25 contiguous hours")
         targets_idx = np.array(targets_idx)
-        out[tag] = WindowSet(
+        out[tag] = Windows(
             inputs=np.stack(windows),
             targets_mw=frame.data[targets_idx, DEMAND].copy(),
             targets_std=standardizer.standardize_demand(frame.data[targets_idx, DEMAND]),

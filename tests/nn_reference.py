@@ -7,9 +7,10 @@ arithmetic moved in place and their kernels were shared: LayerNorm forward
 and backward with `x.var`, the row softmax and attention context with
 `_merge`'s copy, BatchNorm1d in train mode with `x.var` and the
 `n * dxhat - ...` backward, BatchNorm1d in inference mode with gamma applied
-after the scale, the Dense affine map, and Conv1d as im2col (`np.pad` plus a
-sliding view). The property tests in test_nn_properties.py hold the layers
-to them.
+after the scale, the Dense affine map, Conv1d as im2col (`np.pad` plus a
+sliding view), and MaxPool1d by `argmax` over each pair and
+`put_along_axis`. The property tests in test_nn_properties.py hold the
+layers to them.
 """
 
 import numpy as np
@@ -111,3 +112,20 @@ def batch_norm_infer(x, gamma, beta, running_mean, running_var, eps):
     inv = 1.0 / np.sqrt(running_var + eps)
     xhat = (x - running_mean) * inv
     return gamma * xhat + beta
+
+
+def max_pool(x):
+    """(output, argmax) of MaxPool1d over pairs of steps; an odd last step
+    is dropped, and argmax takes the first of two equal elements."""
+    b, t, c = x.shape
+    pairs = x[:, : 2 * (t // 2)].reshape(b, t // 2, 2, c)
+    return pairs.max(axis=2), pairs.argmax(axis=2)
+
+
+def max_pool_backward(dy, argmax, t):
+    """dx of MaxPool1d: each dy to its pair's argmax, zero elsewhere."""
+    b, half, c = dy.shape
+    dx = np.zeros((b, t, c))
+    dpairs = dx[:, : 2 * half].reshape(b, half, 2, c)
+    np.put_along_axis(dpairs, argmax[:, :, None, :], dy[:, :, None, :], axis=2)
+    return dx

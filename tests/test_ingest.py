@@ -1,9 +1,11 @@
 import datetime as dt
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridcast import ingest
+from gridcast import ingest, synthetic
 from gridcast.errors import (
     AlignmentError,
     ConfigError,
@@ -223,6 +225,47 @@ class TestCsvFormat:
         p.write_bytes(b"# \xff in a comment is skipped\n2024-07-04\n2024-12-2\xff\n")
         with pytest.raises(CsvParseError, match="line 3: bad holiday date"):
             ingest.parse_holiday_file(p)
+
+
+class TestWriters:
+    """A writer raises, before it opens the file, for a table its reader
+    would reject, naming the field and the row."""
+
+    def test_demand_that_is_not_positive_and_finite_is_rejected(self, tmp_path):
+        path = tmp_path / "load.csv"
+        with pytest.raises(ConfigError, match="row 0: demand_mw must be positive and finite, got nan"):
+            ingest.write_load_csv(path, load_series("2024-01-01T00:00:00", [math.nan, -5.0]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("humidity_pct", 140.0), ("temp_c", math.inf), ("wx_code", 9.0)])
+    def test_a_weather_value_the_reader_rejects_is_rejected(self, tmp_path, field, value):
+        table = weather_rows("2024-01-01T00:00:00", {"BKS": [10.0, 11.0], "JDD": [12.0, 13.0]})
+        table.values[3, ingest.WEATHER_HEADER.index(field) - 2] = value
+        path = tmp_path / "wx.csv"
+        with pytest.raises(ConfigError, match=f"row 3: {field}={value}"):
+            ingest.write_weather_csv(path, table)
+        assert not path.exists()
+
+    def test_timestamps_that_do_not_increase_are_rejected(self, tmp_path):
+        ts = hours("2024-01-01T00:00:00", 2)
+        path = tmp_path / "load.csv"
+        with pytest.raises(OrderingError, match="not increasing at 2024-01-01T00:00:00Z"):
+            ingest.write_load_csv(path, ingest.LoadSeries(ts[::-1], np.array([1.0, 2.0])))
+        table = weather_rows("2024-01-01T00:00:00", {"BKS": [10.0], "JDD": [12.0]})
+        table.station[1] = "BKS"
+        with pytest.raises(OrderingError, match="duplicate record for station BKS"):
+            ingest.write_weather_csv(path, table)
+        assert not path.exists()
+
+    def test_a_timestamp_off_the_hour_or_an_empty_table_is_rejected(self, tmp_path):
+        path = tmp_path / "load.csv"
+        ts = hours("2024-01-01T00:00:00", 2) + np.timedelta64(30, "m")
+        with pytest.raises(ConfigError, match="row 0: timestamp '2024-01-01T00:30:00Z' is not"):
+            ingest.write_load_csv(path, ingest.LoadSeries(ts, np.array([1.0, 2.0])))
+        with pytest.raises(ConfigError, match="no rows"):
+            ingest.write_load_csv(path, load_series("2024-01-01T00:00:00", []))
+        assert not path.exists()
 
 
 def load_series(start, demand):
@@ -614,3 +657,126 @@ def test_build_frame_end_to_end(tmp_path):
     assert not frame.missing.any()
     assert len(frame) == n - 24
     assert report["lag_warmup_rows_dropped"] == 24
+
+
+SHORT_GAP, LONG_GAP = slice(2000, 2003), slice(3000, 3010)  # hours from the start
+YEAR_SPLIT = ingest.SplitSpec(train=("2024-01-01", "2024-09-01"),
+                              val=("2024-09-01", "2024-11-01"),
+                              test=("2024-11-01", "2025-01-01"))
+
+
+@pytest.fixture(scope="module")
+def gappy_year(tmp_path_factory):
+    """A 1-year synthetic set at missing_rate 0.2 with every station's
+    weather fields blank for a 3-hour and a 10-hour run, written to CSV,
+    read back and built into a frame; also its standardizer and windows."""
+    cfg = synthetic.SyntheticConfig(years=1, seed=0, missing_rate=0.2)
+    data = synthetic.generate(cfg)
+    for values in data.station_weather.values():
+        values[SHORT_GAP] = np.nan
+        values[LONG_GAP] = np.nan
+    d = tmp_path_factory.mktemp("gappy_year")
+    ingest.write_load_csv(d / "load.csv", ingest.LoadSeries(data.timestamps, data.demand_mw))
+    ingest.write_weather_csv(d / "weather.csv", ingest.WeatherTable(
+        np.repeat(np.array(cfg.stations), data.timestamps.size),
+        np.tile(data.timestamps, len(cfg.stations)),
+        np.concatenate([data.station_weather[name] for name in cfg.stations])))
+    frame, report = ingest.build_frame(
+        ingest.parse_load_csv(d / "load.csv"), ingest.parse_weather_csv(d / "weather.csv"),
+        cfg.stations, data.holidays)
+    standardizer = ingest.fit_standardizer(frame, YEAR_SPLIT)
+    return data.timestamps, frame, report, standardizer, ingest.make_windows(
+        frame, standardizer, YEAR_SPLIT)
+
+
+def hourly_runs(timestamps):
+    """Lengths of the maximal runs of rows one hour apart."""
+    breaks = np.flatnonzero(np.diff(timestamps) != ingest.HOUR) + 1
+    return np.diff(np.concatenate([[0], breaks, [timestamps.size]]))
+
+
+class TestGapPathsAtFullSize:
+    def test_the_short_run_is_filled_and_the_long_run_reported_and_dropped(self, gappy_year):
+        hours_in, frame, report, _, _ = gappy_year
+        assert report["unfilled_runs"] == [
+            {"column": column, "start": ingest.format_timestamp(hours_in[LONG_GAP.start]),
+             "length": 10, "reason": "exceeds_max_gap"} for column in ingest.WEATHER_COLUMNS]
+        assert report["dropped_hours"] == [ingest.format_timestamp(t) for t in hours_in[LONG_GAP]]
+        assert not np.isin(hours_in[LONG_GAP], frame.timestamps).any()
+        rows = np.searchsorted(frame.timestamps, hours_in[SHORT_GAP])
+        assert (frame.timestamps[rows] == hours_in[SHORT_GAP]).all()
+        assert not np.isnan(frame.data[rows]).any()
+
+    def test_the_frame_is_two_hourly_segments_each_short_of_24_lag_rows(self, gappy_year):
+        hours_in, frame, report, _, _ = gappy_year
+        assert report["lag_warmup_rows_dropped"] == 48
+        assert hourly_runs(frame.timestamps).tolist() == [
+            LONG_GAP.start - 24, hours_in.size - LONG_GAP.stop - 24]
+
+    def test_windows_stay_inside_a_segment_and_split(self, gappy_year):
+        _, frame, _, _, windows = gappy_year
+        for tag, ws in windows.items():
+            lo, hi = YEAR_SPLIT.range_of(tag)
+            in_split = frame.timestamps[(frame.timestamps >= lo) & (frame.timestamps < hi)]
+            assert len(ws) == sum(n - 24 for n in hourly_runs(in_split) if n > 24)
+            # 24 input rows and the target: 25 consecutive hours of one segment
+            assert (frame.timestamps[ws.starts + 24] - frame.timestamps[ws.starts]
+                    == 24 * ingest.HOUR).all()
+            assert (frame.timestamps[ws.starts] >= lo).all()
+            assert (frame.timestamps[ws.starts + 24] == ws.target_timestamps).all()
+            assert (ws.target_timestamps < hi).all()
+
+    def test_every_window_is_its_24_rows_of_the_standardized_frame(self, gappy_year):
+        _, frame, _, standardizer, windows = gappy_year
+        std_data = standardizer.transform(frame.data)
+        for ws in windows.values():
+            assert ws.std_data.tobytes() == std_data.tobytes()
+            rows = ws.starts[:, None] + np.arange(ingest.WINDOW_HOURS)
+            assert ws.inputs.tobytes() == std_data[rows].tobytes()
+
+
+class TestWindowMemory:
+    """A WindowSet holds start rows into one read-only standardized frame;
+    window rows are copied only when `inputs` is read."""
+
+    @staticmethod
+    def fresh_windows(gappy_year):
+        _, frame, _, standardizer, _ = gappy_year
+        return frame, ingest.make_windows(frame, standardizer, YEAR_SPLIT)
+
+    def test_make_windows_allocates_at_most_three_frames(self, gappy_year):
+        _, frame, _, standardizer, _ = gappy_year
+        tracemalloc.start()
+        try:
+            ingest.make_windows(frame, standardizer, YEAR_SPLIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * frame.data.nbytes
+
+    def test_a_slice_gathers_only_its_own_windows(self, gappy_year):
+        _, windows = self.fresh_windows(gappy_year)
+        train = windows["train"]
+        idx = np.random.default_rng(0).permutation(len(train))[:64]
+        tracemalloc.start()
+        try:
+            inputs = train.slice(idx).inputs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inputs.shape == (64, ingest.WINDOW_HOURS, ingest.N_FEATURES)
+        assert peak <= 2 * inputs.nbytes
+        assert inputs.tobytes() == train.inputs[idx].tobytes()
+
+    def test_splits_and_slices_share_one_read_only_frame(self, gappy_year):
+        frame, windows = self.fresh_windows(gappy_year)
+        std_data = windows["train"].std_data
+        assert std_data.shape == frame.data.shape
+        shared = list(windows.values()) + [ws.slice(slice(3, 9)) for ws in windows.values()]
+        assert all(np.shares_memory(ws.std_data, std_data) for ws in shared)
+        with pytest.raises(ValueError):
+            std_data[0, 0] = 1.0
+        for ws in shared:
+            assert ws.inputs is ws.inputs  # gathered once, then kept
+            assert ws.inputs.flags["C_CONTIGUOUS"]
+            assert not np.shares_memory(ws.inputs, std_data)

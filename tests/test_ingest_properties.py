@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ingest_reference as ref
 from gridcast import ingest, synthetic
+from gridcast.errors import ConfigError, CsvParseError, OrderingError
 
 settings.register_profile("ingest", max_examples=60, deadline=None)
 settings.load_profile("ingest")
@@ -310,24 +311,46 @@ def weather_tables(draw, min_rows, fields):
         np.array(values, dtype=float).reshape(len(keys), len(ingest.WEATHER_COLUMNS)))
 
 
-def csv_bytes(write, table, block_rows):
+def assert_writes_like_reference(kind, table, block_rows):
+    """The writer writes the reference writer's bytes when the reader accepts
+    those bytes. When the reader rejects them, the writer raises instead and
+    leaves no file: an OrderingError as the reader's, and for a file the
+    reader rejects as a CsvParseError, a ConfigError; one the reader raised
+    naming line n is raised naming row n - 2 with the same message."""
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "out.csv"
+        expected, path = Path(d) / "ref.csv", Path(d) / "out.csv"
+        getattr(ref, f"write_{kind}_csv")(expected, table)
+        try:
+            getattr(ingest, f"parse_{kind}_csv")(expected)
+        except (CsvParseError, OrderingError) as exc:
+            read_error = exc
+        else:
+            read_error = None
         with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-            write(path, table)
-        return path.read_bytes()
+            if read_error is None:
+                getattr(ingest, f"write_{kind}_csv")(path, table)
+                assert path.read_bytes() == expected.read_bytes()
+                return
+            error = OrderingError if isinstance(read_error, OrderingError) else ConfigError
+            with pytest.raises(error) as written:
+                getattr(ingest, f"write_{kind}_csv")(path, table)
+        assert not path.exists()
+        line = getattr(read_error, "line", None)
+        if line is not None:
+            assert str(written.value) == str(read_error).replace(
+                f"line {line}:", f"row {line - 2}:", 1)
+        elif error is OrderingError:
+            assert str(written.value) == str(read_error)
 
 
 @given(load=load_series(0, FINITE_FLOAT), block_rows=st.integers(1, 9))
 def test_load_writer_matches_reference(load, block_rows):
-    assert (csv_bytes(ingest.write_load_csv, load, block_rows)
-            == csv_bytes(ref.write_load_csv, load, block_rows))
+    assert_writes_like_reference("load", load, block_rows)
 
 
 @given(weather=weather_tables(0, [ANY_FLOAT] * 6), block_rows=st.integers(1, 9))
 def test_weather_writer_matches_reference(weather, block_rows):
-    assert (csv_bytes(ingest.write_weather_csv, weather, block_rows)
-            == csv_bytes(ref.write_weather_csv, weather, block_rows))
+    assert_writes_like_reference("weather", weather, block_rows)
 
 
 def parse_written(kind, table, block_rows):
@@ -351,6 +374,16 @@ def valid_field(lo, hi):
 
 VALID_WEATHER = ([valid_field(lo, hi) for _, lo, hi in ingest._WEATHER_FIELDS[:-1]]
                  + [st.sampled_from([math.nan, -0.0] + sorted(map(float, ingest.WX_CODES.values())))])
+
+
+@given(load=load_series(0, POSITIVE_DEMAND), block_rows=st.integers(1, 9))
+def test_load_writer_matches_reference_on_tables_the_reader_accepts(load, block_rows):
+    assert_writes_like_reference("load", load, block_rows)
+
+
+@given(weather=weather_tables(0, VALID_WEATHER), block_rows=st.integers(1, 9))
+def test_weather_writer_matches_reference_on_tables_the_reader_accepts(weather, block_rows):
+    assert_writes_like_reference("weather", weather, block_rows)
 
 
 @given(load=load_series(1, POSITIVE_DEMAND), block_rows=st.integers(1, 9))

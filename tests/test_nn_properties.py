@@ -189,3 +189,19 @@ def test_batch_norm_train_matches_reference(b, t, c, seed, scale, offset):
     assert np.all(np.abs(bn.grads["gamma"] - (dy * xhat_ref).sum(axis=(0, 1)))
                   <= 2 * (n + 4) * EPS * gamma_terms)
     np.testing.assert_array_equal(bn.grads["beta"], dy.sum(axis=(0, 1)))
+
+
+@examples
+@given(data=st.data(), b=batches, t=st.integers(2, 30), c=st.integers(1, 8), seed=seeds)
+def test_max_pool_matches_argmax_reference(data, b, t, c, seed):
+    # few distinct values, so pairs often tie
+    x = data.draw(arrays(np.float64, (b, t, c), elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])),
+                  label="x")
+    pool = nn.MaxPool1d()
+    out_ref, argmax = ref.max_pool(x)
+    assert pool.forward(x).tobytes() == out_ref.tobytes()
+    assert pool.forward(x, train=True).tobytes() == out_ref.tobytes()
+    dy = np.random.default_rng(seed).normal(size=out_ref.shape)
+    # a losing element gets dy * 0, which is -0.0 where dy < 0: equal by value to
+    # the reference's 0.0
+    np.testing.assert_array_equal(pool.backward(dy), ref.max_pool_backward(dy, argmax, t))
