@@ -17,7 +17,8 @@ Everything runs in float64. The layer contract:
   named_grads, zero_grads and state_tensors are built on it.
 - Composition is Sequential (a chain) and Residual (x + chain(x)).
 - Each kernel exists once: one affine gradient (Dense, Conv1d and the
-  attention projections), one normalization (BatchNorm1d over batch and
+  attention projections, whose three input projections take it together
+  over [Wq | Wk | Wv]), one normalization (BatchNorm1d over batch and
   time, LayerNorm over the last axis), and one tap rule for Conv1d, which
   is a Dense over each step's patch with W of shape (kernel·c_in, c_out),
   tap-major.

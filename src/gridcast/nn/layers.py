@@ -8,10 +8,11 @@ Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
 
 Each kernel is written once: `_affine_backward` is the gradient of Dense, of
-Conv1d through Dense and of attention's projections; `_Norm` normalizes for
-BatchNorm1d (over batch and time) and LayerNorm (over the last axis); and
-`Conv1d._taps` places each tap. Conv1d is a Dense over each step's patch, with
-W of shape (kernel·c_in, c_out) in tap-major order.
+Conv1d through Dense and of attention's projections, where the three input
+projections take one gradient together over [Wq | Wk | Wv]; `_Norm`
+normalizes for BatchNorm1d (over batch and time) and LayerNorm (over the last
+axis); and `Conv1d._taps` places each tap. Conv1d is a Dense over each step's
+patch, with W of shape (kernel·c_in, c_out) in tap-major order.
 
 A layer writes only to arrays it allocated, never to its input or upstream
 gradient: a forward pass allocates its output (plus its cache in train mode)
@@ -382,10 +383,6 @@ class MultiHeadSelfAttention(Layer):
         b, t, _ = x.shape
         return x.reshape(b, t, self.n_heads, self.d_k).transpose(0, 2, 1, 3)
 
-    def _merge(self, x):
-        b, h, t, dk = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
-
     def _attend(self, x):
         """Per-head (q, k, v, softmax weights) for x; stores nothing."""
         if x.ndim != 3 or x.shape[2] != self.d_model:
@@ -415,16 +412,26 @@ class MultiHeadSelfAttention(Layer):
     def backward(self, dy):
         x, q, k, v, attn, ctx = self._cache
         p, g = self.params, self.grads
+        d = self.d_model
         dctx = self._split(_affine_backward(ctx, dy, p["Wo"], g["Wo"], g["bo"]))
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
-        # softmax backward: dS = A * (dA - sum(dA * A))
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = dscores @ k * self.scale
-        dk = dscores.transpose(0, 1, 3, 2) @ q * self.scale
-        dx = np.zeros_like(x)
-        for n, dmat in (("q", dq), ("k", dk), ("v", dv)):
-            dx += _affine_backward(x, self._merge(dmat), p[f"W{n}"], g[f"W{n}"], g[f"b{n}"])
+        # dq | dk | dv, each head written straight into its place in one buffer
+        dqkv = np.empty((*x.shape[:2], 3 * d))
+        dq, dk, dv = (self._split(dqkv[..., i * d : (i + 1) * d]) for i in range(3))
+        np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
+        # softmax backward, dS = A * (dA - sum(dA * A)), in place on dA
+        dscores = dctx @ v.transpose(0, 1, 3, 2)
+        dscores -= np.einsum("...ij,...ij->...i", dscores, attn)[..., None]
+        dscores *= attn
+        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
+        dqkv[..., : 2 * d] *= self.scale
+        # the three projections take one affine gradient over [Wq | Wk | Wv]
+        w = np.concatenate([p["Wq"], p["Wk"], p["Wv"]], axis=1)
+        gw, gb = np.zeros_like(w), np.zeros(3 * d)
+        dx = _affine_backward(x, dqkv, w, gw, gb)
+        for i, n in enumerate("qkv"):
+            g[f"W{n}"] += gw[:, i * d : (i + 1) * d]
+            g[f"b{n}"] += gb[i * d : (i + 1) * d]
         return dx
 
 

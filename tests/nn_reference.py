@@ -4,13 +4,13 @@ gridcast.nn.layers.
 Each function is the layer's formula written one numpy expression per line,
 every step allocating a fresh array, as the layers computed it before their
 arithmetic moved in place and their kernels were shared: LayerNorm forward
-and backward with `x.var`, the row softmax and attention context with
-`_merge`'s copy, BatchNorm1d in train mode with `x.var` and the
-`n * dxhat - ...` backward, BatchNorm1d in inference mode with gamma applied
-after the scale, the Dense affine map, Conv1d as im2col (`np.pad` plus a
-sliding view), and MaxPool1d by `argmax` over each pair and
-`put_along_axis`. The property tests in test_nn_properties.py hold the
-layers to them.
+and backward with `x.var`, the row softmax and attention context with a
+merging copy, attention's backward with one gradient per projection,
+BatchNorm1d in train mode with `x.var` and the `n * dxhat - ...` backward,
+BatchNorm1d in inference mode with gamma applied after the scale, the Dense
+affine map, Conv1d as im2col (`np.pad` plus a sliding view), and MaxPool1d
+by `argmax` over each pair and `put_along_axis`. The property tests in
+test_nn_properties.py hold the layers to them.
 """
 
 import numpy as np
@@ -44,23 +44,61 @@ def softmax(scores):
     return expn / expn.sum(axis=-1, keepdims=True)
 
 
+def split_heads(a, n_heads):
+    """(B, T, d) -> (B, n_heads, T, d // n_heads), a view."""
+    b, t, d = a.shape
+    return a.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(a):
+    """(B, n_heads, T, d_k) -> (B, T, n_heads * d_k), a copy."""
+    b, h, t, d_k = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(b, t, h * d_k)
+
+
 def attention(x, params, n_heads):
     """(output, weights, merged context) of multi-head self-attention with
     the layer's parameter dict: per-head softmax(Q K^T / sqrt(d_k)) V, heads
     merged and projected by Wo, bo."""
-    b, t, d = x.shape
-    d_k = d // n_heads
-
-    def split(a):
-        return a.reshape(b, t, n_heads, d_k).transpose(0, 2, 1, 3)
-
-    q = split(x @ params["Wq"] + params["bq"])
-    k = split(x @ params["Wk"] + params["bk"])
-    v = split(x @ params["Wv"] + params["bv"])
-    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(d_k))
+    scale = 1.0 / np.sqrt(x.shape[2] // n_heads)
+    q = split_heads(x @ params["Wq"] + params["bq"], n_heads)
+    k = split_heads(x @ params["Wk"] + params["bk"], n_heads)
+    v = split_heads(x @ params["Wv"] + params["bv"], n_heads)
+    scores = q @ k.transpose(0, 1, 3, 2) * scale
     weights = softmax(scores)
-    ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    ctx = merge_heads(weights @ v)
     return ctx @ params["Wo"] + params["bo"], weights, ctx
+
+
+def attention_backward(x, params, n_heads, dy):
+    """(dx, grads) of multi-head self-attention for upstream gradient dy:
+    the softmax backward A * (dA - sum(dA * A)) and one affine gradient per
+    projection, grads keyed by the layer's parameter names."""
+    d = x.shape[2]
+    scale = 1.0 / np.sqrt(d // n_heads)
+    q = split_heads(x @ params["Wq"] + params["bq"], n_heads)
+    k = split_heads(x @ params["Wk"] + params["bk"], n_heads)
+    v = split_heads(x @ params["Wv"] + params["bv"], n_heads)
+    weights = softmax(q @ k.transpose(0, 1, 3, 2) * scale)
+    ctx = merge_heads(weights @ v)
+    dctx = split_heads(dy @ params["Wo"].T, n_heads)
+    dweights = dctx @ v.transpose(0, 1, 3, 2)
+    dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    dq = merge_heads(dscores @ k * scale)
+    dk = merge_heads(dscores.transpose(0, 1, 3, 2) @ q * scale)
+    dv = merge_heads(weights.transpose(0, 1, 3, 2) @ dctx)
+    grads = {
+        "Wo": ctx.reshape(-1, d).T @ dy.reshape(-1, d),
+        "bo": dy.sum(axis=(0, 1)),
+        "Wq": x.reshape(-1, d).T @ dq.reshape(-1, d),
+        "bq": dq.sum(axis=(0, 1)),
+        "Wk": x.reshape(-1, d).T @ dk.reshape(-1, d),
+        "bk": dk.sum(axis=(0, 1)),
+        "Wv": x.reshape(-1, d).T @ dv.reshape(-1, d),
+        "bv": dv.sum(axis=(0, 1)),
+    }
+    dx = dq @ params["Wq"].T + dk @ params["Wk"].T + dv @ params["Wv"].T
+    return dx, grads
 
 
 def conv1d(x, w, b):

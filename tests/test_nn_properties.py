@@ -106,6 +106,56 @@ def test_attention_matches_reference(b, t, heads, d_k, seed, scale):
     assert np.all(np.abs(attn.forward(x) - out_ref) <= bound)
 
 
+def attention_backward_terms(x, params, n_heads, dy, weights):
+    """Per result of ref.attention_backward, the magnitude of the terms that
+    meet in it: the same chain on absolute values, with the softmax backward
+    as A * (|dA| + sum(|dA| * A))."""
+    d = x.shape[2]
+    scale = 1.0 / np.sqrt(d // n_heads)
+    q, k, v = (ref.split_heads(np.abs(x @ params[f"W{n}"] + params[f"b{n}"]), n_heads)
+               for n in "qkv")
+    ax, ady = np.abs(x).reshape(-1, d), np.abs(dy).reshape(-1, d)
+    dctx = ref.split_heads(np.abs(dy) @ np.abs(params["Wo"]).T, n_heads)
+    dweights = dctx @ v.transpose(0, 1, 3, 2)
+    dscores = weights * (dweights + (dweights * weights).sum(axis=-1, keepdims=True))
+    dqkv = {"q": ref.merge_heads(dscores @ k * scale),
+            "k": ref.merge_heads(dscores.transpose(0, 1, 3, 2) @ q * scale),
+            "v": ref.merge_heads(weights.transpose(0, 1, 3, 2) @ dctx)}
+    terms = {"Wo": ref.merge_heads(weights @ v).reshape(-1, d).T @ ady, "bo": ady.sum(axis=0)}
+    for n, dm in dqkv.items():
+        terms[f"W{n}"] = ax.T @ dm.reshape(-1, d)
+        terms[f"b{n}"] = dm.sum(axis=(0, 1))
+    dx = sum(dm @ np.abs(params[f"W{n}"]).T for n, dm in dqkv.items())
+    return dx, terms
+
+
+@examples
+@given(b=batches, t=steps, heads=st.sampled_from([1, 2, 4]), d_k=st.integers(1, 4),
+       seed=seeds, scale=st.floats(1e-2, 1e1))
+def test_attention_backward_matches_reference(b, t, heads, d_k, seed, scale):
+    d = heads * d_k
+    attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(seed, "attention"))
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(b, t, d))
+    dy = rng.normal(size=x.shape)
+    attn.forward(x, train=True)
+    dx = attn.backward(dy)
+    dx_ref, grads_ref = ref.attention_backward(x, attn.params, heads, dy)
+    dx_terms, grad_terms = attention_backward_terms(
+        x, attn.params, heads, dy, attn.attention_weights(x))
+    # the longest chain of sums: b*t rows into a weight gradient, t steps
+    # twice through the softmax backward and the 3d-wide input gradient
+    n = b * t + 2 * t + 6 * d + 16
+    assert np.all(np.abs(dx - dx_ref) <= 2 * n * EPS * dx_terms)
+    first = {name: g.copy() for name, g in attn.grads.items()}
+    for name, g in first.items():
+        assert np.all(np.abs(g - grads_ref[name]) <= 2 * n * EPS * grad_terms[name]), name
+    # without zero_grads a second backward adds the same gradient again
+    np.testing.assert_array_equal(attn.backward(dy), dx)
+    for name, g in first.items():
+        np.testing.assert_array_equal(attn.grads[name], 2 * g)
+
+
 @examples
 @given(b=batches, t=steps, c=st.integers(1, 16), seed=seeds, scale=scales, offset=offsets)
 def test_batch_norm_inference_matches_reference(b, t, c, seed, scale, offset):
