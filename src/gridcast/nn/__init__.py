@@ -1,7 +1,9 @@
 """Minimal differentiable compute: numpy layers with manual reverse-mode
 gradients, an Adam optimizer, and a deterministic checkpoint format.
 
-Everything runs in float64. The layer contract:
+Training and gradient checks run in float64. Inference computes in the
+dtype of its input and parameters: a model whose params, buffers and
+positional table are cast to float32 returns float32. The layer contract:
 
 - forward(x, train=True) caches whatever backward() needs; backward() uses
   the cache of the last train-mode forward.
@@ -17,11 +19,15 @@ Everything runs in float64. The layer contract:
   named_grads, zero_grads and state_tensors are built on it.
 - Composition is Sequential (a chain) and Residual (x + chain(x)).
 - Each kernel exists once: one affine gradient (Dense, Conv1d and the
-  attention projections, whose three input projections take it together
-  over [Wq | Wk | Wv]), one normalization (BatchNorm1d over batch and
+  attention projections; attention stores its input projections as one
+  parameter Wqkv = [Wq | Wk | Wv] of shape (d_model, 3·d_model), with bias
+  bqkv, so one affine map gives q | k | v and one gradient goes back
+  through it), one normalization (BatchNorm1d over batch and
   time, LayerNorm over the last axis), and one tap rule for Conv1d, which
   is a Dense over each step's patch with W of shape (kernel·c_in, c_out),
   tap-major.
+- A constructor raises ConfigError, naming the argument, for a size that
+  is not a positive integer.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,
   for an input of the wrong rank or width.
 """

@@ -1,4 +1,5 @@
-"""Layers with manual forward/backward passes on float64 numpy arrays.
+"""Layers with manual forward/backward passes on numpy arrays. Training runs
+in float64; inference computes in the dtype of its input and parameters.
 
 Shape conventions: sequence tensors are (batch, time, channels); flat
 tensors are (batch, features). Dense applies to the last axis, so it doubles
@@ -8,8 +9,9 @@ Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
 
 Each kernel is written once: `_affine_backward` is the gradient of Dense, of
-Conv1d through Dense and of attention's projections, where the three input
-projections take one gradient together over [Wq | Wk | Wv]; `_Norm`
+Conv1d through Dense and of attention's projections, whose input projections
+are stored as the one matrix Wqkv = [Wq | Wk | Wv] that the forward's single
+projection and the backward's single gradient both use; `_Norm`
 normalizes for BatchNorm1d (over batch and time) and LayerNorm (over the last
 axis); and `Conv1d._taps` places each tap. Conv1d is a Dense over each step's
 patch, with W of shape (kernel·c_in, c_out) in tap-major order.
@@ -27,6 +29,13 @@ from ..errors import ConfigError, ShapeError
 def _uniform_init(rng, shape, fan_in):
     bound = np.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _check_sizes(**sizes):
+    """Raise ConfigError naming the first size that is not a positive integer."""
+    for name, n in sizes.items():
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {n!r}")
 
 
 def _affine(x, w, b):
@@ -107,6 +116,7 @@ class Dense(Layer):
 
     def __init__(self, d_in, d_out, rng):
         super().__init__()
+        _check_sizes(d_in=d_in, d_out=d_out)
         self.d_in, self.d_out = d_in, d_out
         self.params = {
             "W": _uniform_init(rng, (d_in, d_out), d_in),
@@ -144,6 +154,7 @@ class Conv1d(Dense):
     """
 
     def __init__(self, c_in, c_out, kernel, rng):
+        _check_sizes(c_in=c_in, c_out=c_out, kernel=kernel)
         if kernel % 2 != 1:
             raise ConfigError("same-padding conv requires an odd kernel")
         super().__init__(kernel * c_in, c_out, rng)
@@ -162,7 +173,7 @@ class Conv1d(Dense):
             raise ShapeError(f"conv expects (B, T, {self.c_in}), got {x.shape}")
         if x.shape[1] < self.kernel:
             raise ShapeError(f"conv needs T >= {self.kernel}, got T={x.shape[1]}")
-        cols = np.zeros((*x.shape[:2], self.d_in))  # the zeros are the padding
+        cols = np.zeros((*x.shape[:2], self.d_in), dtype=x.dtype)  # the zeros are the padding
         for cols_j, lo, hi, shift in self._taps(x.shape[1]):
             cols[:, lo:hi, cols_j] = x[:, lo + shift : hi + shift]
         return super().forward(cols, train)
@@ -361,34 +372,38 @@ class MultiHeadSelfAttention(Layer):
     """Scaled dot-product self-attention with n_heads and output projection.
 
     Per head: scores = Q K^T / sqrt(d_k), row-softmax, weighted sum of V;
-    heads are concatenated and linearly projected back to d_model.
+    heads are concatenated and linearly projected back to d_model. The input
+    projections are stored as one Wqkv = [Wq | Wk | Wv] of shape
+    (d_model, 3·d_model) with bias bqkv = [bq | bk | bv].
     """
 
     def __init__(self, d_model, n_heads, rng):
         super().__init__()
+        _check_sizes(d_model=d_model, n_heads=n_heads)
         if d_model % n_heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
         self.scale = 1.0 / np.sqrt(self.d_k)
-        self.params = {}
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            self.params[name] = _uniform_init(rng, (d_model, d_model), d_model)
-        for name in ("bq", "bk", "bv", "bo"):
-            self.params[name] = _uniform_init(rng, (d_model,), d_model)
+        # drawn Wq, Wk, Wv, Wo, then bq, bk, bv, bo: the order fixes every initial value
+        w = [_uniform_init(rng, (d_model, d_model), d_model) for _ in range(4)]
+        b = [_uniform_init(rng, (d_model,), d_model) for _ in range(4)]
+        self.params = {"Wqkv": np.concatenate(w[:3], axis=1), "bqkv": np.concatenate(b[:3]),
+                       "Wo": w[3], "bo": b[3]}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _split(self, x):
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.n_heads, self.d_k).transpose(0, 2, 1, 3)
+    def _split(self, a):
+        """(B, T, m·d_model) -> per-head views (m, B, n_heads, T, d_k)."""
+        b, t, width = a.shape
+        heads = a.reshape(b, t, width // self.d_model, self.n_heads, self.d_k)
+        return heads.transpose(2, 0, 3, 1, 4)
 
     def _attend(self, x):
         """Per-head (q, k, v, softmax weights) for x; stores nothing."""
         if x.ndim != 3 or x.shape[2] != self.d_model:
             raise ShapeError(f"attention expects (B, T, {self.d_model}), got {x.shape}")
-        p = self.params
-        q, k, v = (self._split(_affine(x, p[f"W{n}"], p[f"b{n}"])) for n in "qkv")
+        q, k, v = self._split(_affine(x, self.params["Wqkv"], self.params["bqkv"]))
         # row softmax in place on the scores array the product allocated
         attn = q @ k.transpose(0, 1, 3, 2)
         attn *= self.scale
@@ -403,8 +418,8 @@ class MultiHeadSelfAttention(Layer):
 
     def forward(self, x, train=False):
         q, k, v, attn = self._attend(x)
-        ctx = np.empty(x.shape)  # heads written straight into their merged layout
-        np.matmul(attn, v, out=self._split(ctx))
+        ctx = np.empty(x.shape, dtype=x.dtype)  # heads written straight into their merged layout
+        np.matmul(attn, v, out=self._split(ctx)[0])
         if train:
             self._cache = (x, q, k, v, attn, ctx)
         return _affine(ctx, self.params["Wo"], self.params["bo"])
@@ -413,10 +428,10 @@ class MultiHeadSelfAttention(Layer):
         x, q, k, v, attn, ctx = self._cache
         p, g = self.params, self.grads
         d = self.d_model
-        dctx = self._split(_affine_backward(ctx, dy, p["Wo"], g["Wo"], g["bo"]))
+        dctx = self._split(_affine_backward(ctx, dy, p["Wo"], g["Wo"], g["bo"]))[0]
         # dq | dk | dv, each head written straight into its place in one buffer
         dqkv = np.empty((*x.shape[:2], 3 * d))
-        dq, dk, dv = (self._split(dqkv[..., i * d : (i + 1) * d]) for i in range(3))
+        dq, dk, dv = self._split(dqkv)
         np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
         # softmax backward, dS = A * (dA - sum(dA * A)), in place on dA
         dscores = dctx @ v.transpose(0, 1, 3, 2)
@@ -425,14 +440,7 @@ class MultiHeadSelfAttention(Layer):
         np.matmul(dscores, k, out=dq)
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
         dqkv[..., : 2 * d] *= self.scale
-        # the three projections take one affine gradient over [Wq | Wk | Wv]
-        w = np.concatenate([p["Wq"], p["Wk"], p["Wv"]], axis=1)
-        gw, gb = np.zeros_like(w), np.zeros(3 * d)
-        dx = _affine_backward(x, dqkv, w, gw, gb)
-        for i, n in enumerate("qkv"):
-            g[f"W{n}"] += gw[:, i * d : (i + 1) * d]
-            g[f"b{n}"] += gb[i * d : (i + 1) * d]
-        return dx
+        return _affine_backward(x, dqkv, p["Wqkv"], g["Wqkv"], g["bqkv"])
 
 
 class Sequential(Layer):

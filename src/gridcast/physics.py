@@ -65,6 +65,8 @@ def fit_envelope(temps, demands, t0_c):
     demands = np.asarray(demands, dtype=float)
     if temps.shape != demands.shape or temps.ndim != 1:
         raise CalibrationError("temps and demands must be equal-length vectors")
+    if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(demands))):
+        raise CalibrationError("temps and demands must be finite")
     cold = temps < t0_c
     n_cold, n_warm = int(cold.sum()), int((~cold).sum())
     if n_cold < 3 or n_warm < 3:
@@ -175,10 +177,12 @@ class PhysicsLossConfig:
     delta_max_mw: float = 4800.0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("penalty weights must be >= 0")
-        if not self.delta_max_mw > 0:
-            raise ConfigError("delta_max_mw must be > 0")
+        for name in ("lambda1", "lambda2"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"penalty weight {name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
+        if not 0 < self.delta_max_mw < np.inf:
+            raise ConfigError(f"delta_max_mw must be finite and > 0, got {self.delta_max_mw}")
 
 
 def _squared_hinge(d, eps):
@@ -204,11 +208,14 @@ def ramp_penalty(pred_mw, delta_max, pairs):
     """Mean squared exceedance of |pred_j - pred_i| over delta_max.
 
     `pairs` holds the (i, j) index pairs of predictions for consecutive
-    hours, earlier first; a batch in any order names them explicitly. With
-    no pairs the loss is 0 by convention.
+    hours, earlier first, as an integer (k, 2) array; a batch in any order
+    names them explicitly. With no pairs the loss is 0 by convention.
     """
     pred = np.asarray(pred_mw, dtype=float)
-    pairs = np.asarray(pairs, dtype=int)
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
+        raise ConfigError(
+            f"pairs must be an integer (k, 2) array, got {pairs.dtype} {pairs.shape}")
     grad = np.zeros_like(pred)
     if len(pairs) == 0:
         return 0.0, grad
@@ -249,4 +256,6 @@ def estimate_delta_max(train_demand, percentile=99.5):
     y = np.asarray(train_demand, dtype=float)
     if y.size < 2:
         raise CalibrationError("need at least 2 points to difference")
+    if not np.all(np.isfinite(y)):
+        raise CalibrationError("train_demand must be finite")
     return float(np.percentile(np.abs(np.diff(y)), percentile))

@@ -56,10 +56,22 @@ def merge_heads(a):
     return a.transpose(0, 2, 1, 3).reshape(b, t, h * d_k)
 
 
+def projections(params):
+    """The attention layer's params (or grads) keyed per projection: Wq, Wk,
+    Wv, bq, bk, bv as views of the thirds of Wqkv and bqkv, with Wo and bo."""
+    d = params["Wo"].shape[0]
+    out = {"Wo": params["Wo"], "bo": params["bo"]}
+    for i, n in enumerate("qkv"):
+        out[f"W{n}"] = params["Wqkv"][:, i * d : (i + 1) * d]
+        out[f"b{n}"] = params["bqkv"][i * d : (i + 1) * d]
+    return out
+
+
 def attention(x, params, n_heads):
     """(output, weights, merged context) of multi-head self-attention with
     the layer's parameter dict: per-head softmax(Q K^T / sqrt(d_k)) V, heads
     merged and projected by Wo, bo."""
+    params = projections(params)
     scale = 1.0 / np.sqrt(x.shape[2] // n_heads)
     q = split_heads(x @ params["Wq"] + params["bq"], n_heads)
     k = split_heads(x @ params["Wk"] + params["bk"], n_heads)
@@ -73,7 +85,8 @@ def attention(x, params, n_heads):
 def attention_backward(x, params, n_heads, dy):
     """(dx, grads) of multi-head self-attention for upstream gradient dy:
     the softmax backward A * (dA - sum(dA * A)) and one affine gradient per
-    projection, grads keyed by the layer's parameter names."""
+    projection, grads keyed as `projections` keys the parameters."""
+    params = projections(params)
     d = x.shape[2]
     scale = 1.0 / np.sqrt(d // n_heads)
     q = split_heads(x @ params["Wq"] + params["bq"], n_heads)

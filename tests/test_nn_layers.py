@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import nn_reference as ref
 from gridcast import nn
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.seeding import seeded_rng
@@ -179,13 +180,14 @@ def test_attention_identical_keys_average_values():
     # make all key rows equal -> uniform weights -> context rows = mean of V
     rng = seeded_rng(4, "uniform-attn")
     attn = nn.MultiHeadSelfAttention(4, 1, rng)
-    attn.params["Wk"][...] = 0.0
-    attn.params["bk"][...] = 1.0
-    attn.params["Wo"][...] = np.eye(4)
-    attn.params["bo"][...] = 0.0
+    p = ref.projections(attn.params)
+    p["Wk"][...] = 0.0
+    p["bk"][...] = 1.0
+    p["Wo"][...] = np.eye(4)
+    p["bo"][...] = 0.0
     x = rng.normal(size=(1, 5, 4))
     out = attn.forward(x)
-    v = x @ attn.params["Wv"] + attn.params["bv"]
+    v = x @ p["Wv"] + p["bv"]
     np.testing.assert_allclose(out, np.repeat(v.mean(axis=1, keepdims=True), 5, axis=1))
     np.testing.assert_allclose(attn.attention_weights(x).sum(axis=-1), 1.0, atol=1e-12)
 
@@ -193,11 +195,12 @@ def test_attention_identical_keys_average_values():
 def test_attention_single_token_returns_value_row():
     rng = seeded_rng(5, "single-token")
     attn = nn.MultiHeadSelfAttention(4, 2, rng)
-    attn.params["Wo"][...] = np.eye(4)
-    attn.params["bo"][...] = 0.0
+    p = ref.projections(attn.params)
+    p["Wo"][...] = np.eye(4)
+    p["bo"][...] = 0.0
     x = rng.normal(size=(3, 1, 4))
     out = attn.forward(x)
-    v = x @ attn.params["Wv"] + attn.params["bv"]
+    v = x @ p["Wv"] + p["bv"]
     np.testing.assert_allclose(out, v, atol=1e-12)
 
 
@@ -205,10 +208,11 @@ def test_softmax_weights_from_known_logits():
     # two tokens, one head, d_k = 1: logits {0, ln 3} -> weights {0.25, 0.75}
     rng = seeded_rng(6, "hand-softmax")
     attn = nn.MultiHeadSelfAttention(1, 1, rng)
-    attn.params["Wq"][...] = 0.0
-    attn.params["bq"][...] = 1.0  # every query is 1, so logits equal the keys
-    attn.params["Wk"][...] = 1.0
-    attn.params["bk"][...] = 0.0
+    p = ref.projections(attn.params)
+    p["Wq"][...] = 0.0
+    p["bq"][...] = 1.0  # every query is 1, so logits equal the keys
+    p["Wk"][...] = 1.0
+    p["bk"][...] = 0.0
     x = np.array([[[0.0], [np.log(3.0)]]])
     np.testing.assert_allclose(attn.attention_weights(x)[0, 0, 0], [0.25, 0.75], atol=1e-12)
 
@@ -216,6 +220,37 @@ def test_softmax_weights_from_known_logits():
 def test_attention_divisibility_error():
     with pytest.raises(ConfigError):
         nn.MultiHeadSelfAttention(6, 4, seeded_rng(0, "bad"))
+
+
+@pytest.mark.parametrize("cls, sizes, name", [
+    (nn.MultiHeadSelfAttention, (8, 0), "n_heads"),  # was ZeroDivisionError
+    (nn.MultiHeadSelfAttention, (8, -2), "n_heads"),  # was a NaN scale
+    (nn.MultiHeadSelfAttention, (0, 1), "d_model"),
+    (nn.Dense, (0, 4), "d_in"),  # was ZeroDivisionError
+    (nn.Dense, (4, 0), "d_out"),
+    (nn.Dense, (2.0, 4), "d_in"),
+    (nn.Conv1d, (3, 4, -1), "kernel"),  # was OverflowError
+    (nn.Conv1d, (0, 4, 3), "c_in"),
+    (nn.Conv1d, (3, 0, 3), "c_out"),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_constructors_reject_non_positive_sizes_naming_them(cls, sizes, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be a positive integer"):
+        cls(*sizes, seeded_rng(0, "sizes"))
+
+
+def test_attention_init_draws_in_the_order_of_separate_projections():
+    # Wq, Wk, Wv, Wo, then bq, bk, bv, bo: a reorder would move every result
+    d = 8
+    attn = nn.MultiHeadSelfAttention(d, 2, seeded_rng(9, "init-order"))
+    rng = seeded_rng(9, "init-order")
+    bound = np.sqrt(1.0 / d)
+    w = [rng.uniform(-bound, bound, size=(d, d)) for _ in range(4)]
+    b = [rng.uniform(-bound, bound, size=d) for _ in range(4)]
+    assert list(attn.params) == ["Wqkv", "bqkv", "Wo", "bo"]
+    np.testing.assert_array_equal(attn.params["Wqkv"], np.concatenate(w[:3], axis=1))
+    np.testing.assert_array_equal(attn.params["bqkv"], np.concatenate(b[:3]))
+    np.testing.assert_array_equal(attn.params["Wo"], w[3])
+    np.testing.assert_array_equal(attn.params["bo"], b[3])
 
 
 def test_dropout_modes():
@@ -364,6 +399,25 @@ def test_batch_predictions_match_row_by_row(branch):
     np.testing.assert_allclose(model.forward(x), rows, rtol=0, atol=1e-12)
 
 
+def as_float32(model):
+    """Cast a model's params, buffers and positional tables to float32."""
+    for _, layer in model.walk():
+        for attr in ("params", "buffers"):
+            setattr(layer, attr, {k: v.astype(np.float32) for k, v in getattr(layer, attr).items()})
+        if isinstance(layer, nn.PositionalEncodingAdd):
+            layer.pe = layer.pe.astype(np.float32)
+    return model
+
+
+@pytest.mark.parametrize("branch", ["cnn", "tr"])
+def test_float32_inference_stays_float32_and_near_float64(branch):
+    x = seeded_rng(3, "f32-x").normal(size=(64, 24, 13))
+    expected = benchmark_shaped_branches(3)[branch].forward(x)
+    out = as_float32(benchmark_shaped_branches(3)[branch]).forward(x.astype(np.float32))
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-4)
+
+
 # --- a layer writes only to arrays it allocated ------------------------------
 
 LEAF_LAYERS = {  # class -> (factory, input shape)
@@ -437,7 +491,7 @@ def test_walk_names_match_params():
     block = nn.EncoderBlock(8, 2, 12, 0.1, seeded_rng(12, "walk"))
     paths = [path for path, _ in block.walk("enc.")]
     assert paths[:3] == ["enc.", "enc.attn.", "enc.attn.mhsa."]
-    assert "enc.attn.mhsa.Wq" in block.named_params("enc.")
+    assert "enc.attn.mhsa.Wqkv" in block.named_params("enc.")
     assert "enc.ff.narrow.b" in block.named_grads("enc.")
 
 

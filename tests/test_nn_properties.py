@@ -73,10 +73,11 @@ def test_layer_norm_of_constant_rows_is_beta(b, t, d, seed, c):
 def logit_attention():
     """One head of width 1 whose scores are the input values: q = 1, k = x."""
     attn = nn.MultiHeadSelfAttention(1, 1, seeded_rng(0, "logit-attention"))
-    attn.params["Wq"][...] = 0.0
-    attn.params["bq"][...] = 1.0
-    attn.params["Wk"][...] = 1.0
-    attn.params["bk"][...] = 0.0
+    p = ref.projections(attn.params)
+    p["Wq"][...] = 0.0
+    p["bq"][...] = 1.0
+    p["Wk"][...] = 1.0
+    p["bk"][...] = 0.0
     return attn
 
 
@@ -110,6 +111,7 @@ def attention_backward_terms(x, params, n_heads, dy, weights):
     """Per result of ref.attention_backward, the magnitude of the terms that
     meet in it: the same chain on absolute values, with the softmax backward
     as A * (|dA| + sum(|dA| * A))."""
+    params = ref.projections(params)
     d = x.shape[2]
     scale = 1.0 / np.sqrt(d // n_heads)
     q, k, v = (ref.split_heads(np.abs(x @ params[f"W{n}"] + params[f"b{n}"]), n_heads)
@@ -147,13 +149,13 @@ def test_attention_backward_matches_reference(b, t, heads, d_k, seed, scale):
     # twice through the softmax backward and the 3d-wide input gradient
     n = b * t + 2 * t + 6 * d + 16
     assert np.all(np.abs(dx - dx_ref) <= 2 * n * EPS * dx_terms)
-    first = {name: g.copy() for name, g in attn.grads.items()}
+    first = {name: g.copy() for name, g in ref.projections(attn.grads).items()}
     for name, g in first.items():
         assert np.all(np.abs(g - grads_ref[name]) <= 2 * n * EPS * grad_terms[name]), name
     # without zero_grads a second backward adds the same gradient again
     np.testing.assert_array_equal(attn.backward(dy), dx)
     for name, g in first.items():
-        np.testing.assert_array_equal(attn.grads[name], 2 * g)
+        np.testing.assert_array_equal(ref.projections(attn.grads)[name], 2 * g)
 
 
 @examples

@@ -67,6 +67,18 @@ class TestFitEnvelope:
         with pytest.raises(CalibrationError):
             physics.fit_envelope(temps, np.ones(50), 18.5)
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("temps", 7, np.nan), ("temps", 0, -np.inf), ("demands", 3, np.inf), ("demands", 9, np.nan)])
+    def test_non_finite_input_errors(self, capfd, field, index, value):
+        # a NaN temperature raised a raw LinAlgError and LAPACK wrote to stderr;
+        # an inf demand surfaced as "must be convex: a2=nan"
+        data = {"temps": np.linspace(0.0, 30.0, 40)}
+        data["demands"] = physics.envelope_demand(ENV, data["temps"])
+        data[field][index] = value
+        with pytest.raises(CalibrationError, match="finite"):
+            physics.fit_envelope(data["temps"], data["demands"], ENV.t0_c)
+        assert capfd.readouterr().err == ""
+
     def test_rank_deficient_segment_errors(self):
         temps = np.array([5.0] * 10 + [25.0, 26.0, 27.0, 28.0])
         with pytest.raises(CalibrationError):
@@ -255,9 +267,10 @@ class TestCompositeLoss:
             physics.composite_loss(empty, empty, empty, np.empty((0, 2), dtype=int),
                                    ENV, self.tol, cfg)
 
-    @pytest.mark.parametrize("pairs", [[(0, 2)], [(-1, 0)]])
+    @pytest.mark.parametrize("pairs", [[(0, 2)], [(-1, 0)], [0, 1], [[0.5, 1.7]], [(0, 1, 1)]])
     def test_pair_index_outside_the_batch_is_a_config_error(self, pairs):
-        # index 2 raised a raw IndexError; index -1 wrapped to the last prediction
+        # index 2 and 1-D pairs raised a raw IndexError; index -1 wrapped to the
+        # last prediction; float pairs were truncated; a third column was ignored
         cfg = physics.PhysicsLossConfig()
         with pytest.raises(ConfigError, match="pairs"):
             physics.composite_loss(self.pred[:2], self.target[:2], self.temps[:2],
@@ -356,9 +369,22 @@ class TestDeltaMax:
         with pytest.raises(CalibrationError):
             physics.estimate_delta_max(np.array([1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_demand_errors(self, value):
+        # NaN demand returned a NaN threshold
+        series = np.arange(0, 1000, 100.0)
+        series[4] = value
+        with pytest.raises(CalibrationError, match="finite"):
+            physics.estimate_delta_max(series)
+
 
 def test_loss_config_validation():
     with pytest.raises(ConfigError):
         physics.PhysicsLossConfig(lambda1=-0.1)
     with pytest.raises(ConfigError):
         physics.PhysicsLossConfig(delta_max_mw=0.0)
+    # NaN and inf were accepted
+    for name in ("lambda1", "lambda2", "delta_max_mw"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match=name):
+                physics.PhysicsLossConfig(**{name: value})
