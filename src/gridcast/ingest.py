@@ -123,6 +123,9 @@ WEATHER_HEADER = ["station", "timestamp_utc", "temp_c", "feels_like_c",
 
 HOUR = np.timedelta64(1, "h").astype("timedelta64[s]")
 WINDOW_HOURS = 24
+# The longest weather gap impute_linear fills: a straight line over a longer
+# one would cut across the diurnal cycle.
+MAX_GAP_HOURS = 6
 
 # The CSV readers and writers handle this many rows at a time: enough to keep
 # per-block overhead small, few enough that a block's field strings stay a few MB.
@@ -555,8 +558,8 @@ def _hours_into_segment(timestamps):
     return pos - np.maximum.accumulate(np.where(seg_start, pos, 0))
 
 
-def impute_linear(frame, max_gap_hours=6):
-    """Fill interior missing runs of length <= max_gap_hours by linear
+def impute_linear(frame):
+    """Fill interior missing runs of length <= MAX_GAP_HOURS by linear
     interpolation between the flanking observed values, per weather column
     and within an hourly segment. Longer runs and runs that begin or end a
     segment are reported, not filled.
@@ -575,7 +578,7 @@ def impute_linear(frame, max_gap_hours=6):
             left, right = start - 1, start + length
             if seg_start[start] or right == vals.size or seg_start[right]:
                 reason = "boundary"
-            elif length > max_gap_hours:
+            elif length > MAX_GAP_HOURS:
                 reason = "exceeds_max_gap"
             else:
                 frac = np.arange(1, length + 1) / (right - left)
@@ -790,13 +793,13 @@ def make_windows(frame, standardizer, split):
     return out
 
 
-def build_frame(load, weather, stations, holidays, max_gap_hours=6):
+def build_frame(load, weather, stations, holidays):
     """Full ingest chain: align, impute, drop unfilled, encode, lag.
 
     Returns (frame, report dict).
     """
     frame = align_hourly(load, weather, stations)
-    frame, gap_reports = impute_linear(frame, max_gap_hours=max_gap_hours)
+    frame, gap_reports = impute_linear(frame)
     frame, dropped_ts = drop_unfilled_rows(frame)
     frame = encode_calendar(frame, holidays)
     frame, lag_dropped = add_lag_feature(frame)

@@ -25,6 +25,11 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 
+# NORM_EPS keeps a constant channel or row finite; BatchNorm1d keeps
+# BN_MOMENTUM of its running statistics at each train step.
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.9
+
 
 def _uniform_init(rng, shape, fan_in):
     bound = np.sqrt(1.0 / fan_in)
@@ -187,13 +192,13 @@ class Conv1d(Dense):
 
 
 class _Norm(Layer):
-    """gamma * (x - mean) / sqrt(var + eps) + beta on (B, T, width) tensors,
-    with the mean and population variance over the subclass's `axes`.
+    """gamma * (x - mean) / sqrt(var + NORM_EPS) + beta on (B, T, width)
+    tensors, with the mean and population variance over the subclass's `axes`.
     """
 
-    def __init__(self, width, eps=1e-5):
+    def __init__(self, width):
         super().__init__()
-        self.width, self.eps = width, eps
+        self.width = width
         self.params = {"gamma": np.ones(width), "beta": np.zeros(width)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
@@ -213,7 +218,7 @@ class _Norm(Layer):
         mean = x.mean(axis=self.axes, keepdims=True)
         xhat = x - mean  # centred once, then scaled in place
         var = self._mean_of_product(xhat, xhat)
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
         xhat *= inv
         if train:
             self._cache = (xhat, inv)
@@ -239,27 +244,26 @@ class BatchNorm1d(_Norm):
     """Per-channel normalization over (batch, time) with running statistics.
 
     Train mode normalizes by batch statistics (population variance) and
-    decays running stats with `momentum`; infer mode uses the running stats.
+    decays running stats with BN_MOMENTUM; infer mode uses the running stats.
     """
 
     axes = (0, 1)
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
-        super().__init__(channels, eps)
-        self.momentum = momentum
+    def __init__(self, channels):
+        super().__init__(channels)
         self.buffers = {"running_mean": np.zeros(channels), "running_var": np.ones(channels)}
 
     def forward(self, x, train=False):
         run_mean, run_var = self.buffers["running_mean"], self.buffers["running_var"]
         if train:
             y, mean, var = self._normalize(x, train)
-            run_mean[...] = self.momentum * run_mean + (1 - self.momentum) * mean.ravel()
-            run_var[...] = self.momentum * run_var + (1 - self.momentum) * var.ravel()
+            run_mean[...] = BN_MOMENTUM * run_mean + (1 - BN_MOMENTUM) * mean.ravel()
+            run_var[...] = BN_MOMENTUM * run_var + (1 - BN_MOMENTUM) * var.ravel()
             return y
         self._check(x)
         # running statistics are constants here: fold gamma into the scale
         y = x - run_mean
-        y *= self.params["gamma"] / np.sqrt(run_var + self.eps)
+        y *= self.params["gamma"] / np.sqrt(run_var + NORM_EPS)
         y += self.params["beta"]
         return y
 

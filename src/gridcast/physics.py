@@ -44,6 +44,12 @@ class ParabolicEnvelope:
 # data generation and spot checks.
 REFERENCE_ENVELOPE = ParabolicEnvelope(
     a1=47.2, b1=-1560.6, c1=51230.0, a2=52.4, b2=-864.5, c2=35523.9, t0_c=18.5)
+# The one calibration recipe: a bin with under MIN_BIN_COUNT points borrows a
+# neighbour's spread, and the floor keeps a band where residuals are flat.
+BIN_WIDTH_C = 2.0
+MIN_BIN_COUNT = 30
+SIGMA_FLOOR_MW = 1.0
+DELTA_MAX_PERCENTILE = 99.5
 
 
 def envelope_demand(env, t_c):
@@ -102,19 +108,17 @@ class ToleranceModel:
     """Temperature-binned residual spread; the band half-width is 2*sigma.
 
     Bins with too few points at fit time inherit the nearest populated bin's
-    sigma, and every sigma is clamped below by sigma_floor_mw.
+    sigma, and every sigma is clamped below by SIGMA_FLOOR_MW.
     """
 
     bin_edges_c: np.ndarray
     sigma_mw: np.ndarray
-    sigma_floor_mw: float
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.bin_edges_c)):
             raise CalibrationError("tolerance bin edges must be finite")
-        if not (self.sigma_floor_mw > 0 and np.all(np.isfinite(self.sigma_mw))
-                and np.all(self.sigma_mw >= self.sigma_floor_mw)):
-            raise CalibrationError("sigma must be finite and >= sigma_floor_mw > 0 everywhere")
+        if not (np.all(np.isfinite(self.sigma_mw)) and np.all(self.sigma_mw >= SIGMA_FLOOR_MW)):
+            raise CalibrationError(f"sigma must be finite and >= {SIGMA_FLOOR_MW} MW everywhere")
 
     def _bin_index(self, t_c):
         idx = np.searchsorted(self.bin_edges_c, t_c, side="right") - 1
@@ -130,8 +134,7 @@ class ToleranceModel:
         return 2.0 * s
 
 
-def fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30,
-                  sigma_floor_mw=1.0):
+def fit_tolerance(temps, residuals):
     """Per-bin population std of envelope residuals over the temp range."""
     temps = np.asarray(temps, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -141,11 +144,11 @@ def fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30,
         raise CalibrationError("temps and residuals must align")
     if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(residuals))):
         raise CalibrationError("temps and residuals must be finite")
-    lo = np.floor(temps.min() / bin_width_c) * bin_width_c
-    hi = np.ceil(temps.max() / bin_width_c) * bin_width_c
+    lo = np.floor(temps.min() / BIN_WIDTH_C) * BIN_WIDTH_C
+    hi = np.ceil(temps.max() / BIN_WIDTH_C) * BIN_WIDTH_C
     if hi <= lo:
-        hi = lo + bin_width_c
-    edges = np.arange(lo, hi + bin_width_c / 2, bin_width_c)
+        hi = lo + BIN_WIDTH_C
+    edges = np.arange(lo, hi + BIN_WIDTH_C / 2, BIN_WIDTH_C)
     n_bins = edges.size - 1
     idx = np.clip(np.searchsorted(edges, temps, side="right") - 1, 0, n_bins - 1)
     sigma = np.full(n_bins, np.nan)
@@ -153,9 +156,9 @@ def fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30,
     for b in range(n_bins):
         sel = idx == b
         counts[b] = sel.sum()
-        if counts[b] >= min_bin_count:
+        if counts[b] >= MIN_BIN_COUNT:
             sigma[b] = residuals[sel].std()
-    populated = np.flatnonzero(counts >= min_bin_count)
+    populated = np.flatnonzero(counts >= MIN_BIN_COUNT)
     if populated.size == 0:
         # fall back to a single global bin
         sigma[:] = residuals.std()
@@ -163,9 +166,8 @@ def fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30,
         for b in np.flatnonzero(~np.isfinite(sigma)):
             nearest = populated[np.argmin(np.abs(populated - b))]
             sigma[b] = sigma[nearest]
-    sigma = np.maximum(sigma, sigma_floor_mw)
-    return ToleranceModel(bin_edges_c=edges, sigma_mw=sigma,
-                          sigma_floor_mw=sigma_floor_mw)
+    sigma = np.maximum(sigma, SIGMA_FLOOR_MW)
+    return ToleranceModel(bin_edges_c=edges, sigma_mw=sigma)
 
 
 @dataclass(frozen=True)
@@ -250,12 +252,12 @@ def composite_loss(pred_mw, target_mw, temp_c, pairs, env, tol, cfg):
     return loss, grad, parts
 
 
-def estimate_delta_max(train_demand, percentile=99.5):
-    """Empirical percentile (linear interpolation between order statistics)
-    of absolute hour-over-hour first differences."""
+def estimate_delta_max(train_demand):
+    """Empirical DELTA_MAX_PERCENTILE percentile (linear interpolation between
+    order statistics) of absolute hour-over-hour first differences."""
     y = np.asarray(train_demand, dtype=float)
     if y.size < 2:
         raise CalibrationError("need at least 2 points to difference")
     if not np.all(np.isfinite(y)):
         raise CalibrationError("train_demand must be finite")
-    return float(np.percentile(np.abs(np.diff(y)), percentile))
+    return float(np.percentile(np.abs(np.diff(y)), DELTA_MAX_PERCENTILE))

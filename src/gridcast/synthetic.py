@@ -20,8 +20,18 @@ import numpy as np
 
 from . import ingest
 from .errors import ConfigError
-from .physics import REFERENCE_ENVELOPE, ParabolicEnvelope, envelope_demand
+from .physics import REFERENCE_ENVELOPE, envelope_demand
 from .seeding import seeded_rng
+
+# One climate and one grid: demand follows REFERENCE_ENVELOPE, whose breakpoint
+# t0_c the calibration splits at.
+T_MEAN_C = 18.0
+T_SEASONAL_AMP_C = 10.0
+T_DIURNAL_AMP_C = 3.5
+T_AR = 0.95
+DIURNAL_PEAK_HOUR = 17.0
+DEMAND_CLIP_MW = (29_360.0, 85_435.0)
+WIND_BASE_MS = 4.0
 
 
 @dataclass(frozen=True)
@@ -83,25 +93,17 @@ class SyntheticConfig:
     start: str = "2024-01-01"
     years: int = 2
     seed: int = 0
-    envelope: ParabolicEnvelope = REFERENCE_ENVELOPE
     # temperature process
-    t_mean_c: float = 18.0
-    t_seasonal_amp_c: float = 10.0
-    t_diurnal_amp_c: float = 3.5
     t_noise_c: float = 1.6
-    t_ar: float = 0.95
     station_offsets_c: tuple = (-0.8, 0.2, 0.9)
     station_noise_c: float = 0.25
     # demand terms
     diurnal_amp_mw: float = 2500.0
-    diurnal_peak_hour: float = 17.0
     weekend_dip_mw: float = 1800.0
     holiday_dip_mw: float = 1200.0
     wind_coupling_mw: float = 150.0
     noise_std_mw: float = 350.0
-    demand_clip_mw: tuple = (29_360.0, 85_435.0)
     # weather extras
-    wind_base_ms: float = 4.0
     events: tuple = None  # None -> default_event_schedule
     missing_rate: float = 0.0
     stations: tuple = ("BKS", "JDD", "TME")
@@ -214,11 +216,11 @@ def generate(config):
     hour, _, _, weekend, is_holiday = ingest.calendar_columns(timestamps, holidays).T
 
     rng_t = seeded_rng(config.seed, "synthetic", "temperature")
-    seasonal = -config.t_seasonal_amp_c * np.cos(2 * np.pi * (doy - 15) / 365.25)
-    diurnal_t = config.t_diurnal_amp_c * np.sin(2 * np.pi * (hour - 9) / 24.0)
-    noise_t = _ar1(rng_t, n, config.t_ar, config.t_noise_c)
+    seasonal = -T_SEASONAL_AMP_C * np.cos(2 * np.pi * (doy - 15) / 365.25)
+    diurnal_t = T_DIURNAL_AMP_C * np.sin(2 * np.pi * (hour - 9) / 24.0)
+    noise_t = _ar1(rng_t, n, T_AR, config.t_noise_c)
     weight, signed_offset, wind_mult, precip_mult = _strongest_event(timestamps, config.events)
-    base_temp = config.t_mean_c + seasonal + diurnal_t + noise_t + signed_offset
+    base_temp = T_MEAN_C + seasonal + diurnal_t + noise_t + signed_offset
 
     rng_st = seeded_rng(config.seed, "synthetic", "stations")
     station_temps = {}
@@ -228,7 +230,7 @@ def generate(config):
     mean_temp = np.mean(list(station_temps.values()), axis=0)
 
     rng_w = seeded_rng(config.seed, "synthetic", "weather")
-    wind = np.abs(config.wind_base_ms + _ar1(rng_w, n, 0.9, 1.6)) * wind_mult
+    wind = np.abs(WIND_BASE_MS + _ar1(rng_w, n, 0.9, 1.6)) * wind_mult
     humidity = np.clip(60.0 - 0.8 * (mean_temp - 20.0) + rng_w.normal(0, 6.0, n), 4.0, 100.0)
     burst = rng_w.random(n) < 0.05
     precip = np.where(burst, rng_w.exponential(2.0, n), 0.0) * precip_mult
@@ -236,17 +238,17 @@ def generate(config):
 
     rng_d = seeded_rng(config.seed, "synthetic", "demand")
     diurnal_d = config.diurnal_amp_mw * np.sin(
-        2 * np.pi * (hour - (config.diurnal_peak_hour - 6.0)) / 24.0)
+        2 * np.pi * (hour - (DIURNAL_PEAK_HOUR - 6.0)) / 24.0)
     chill_factor = np.maximum(0.0, 10.0 - mean_temp) / 10.0
     demand = (
-        envelope_demand(config.envelope, mean_temp)
+        envelope_demand(REFERENCE_ENVELOPE, mean_temp)
         + diurnal_d
         - config.weekend_dip_mw * weekend
         - config.holiday_dip_mw * is_holiday
         + config.wind_coupling_mw * wind * chill_factor
         + rng_d.normal(0.0, config.noise_std_mw, size=n)
     )
-    lo, hi = config.demand_clip_mw
+    lo, hi = DEMAND_CLIP_MW
     n_clipped = int(np.sum((demand < lo) | (demand > hi)))
     demand = np.clip(demand, lo, hi)
 

@@ -358,7 +358,7 @@ class TestImpute:
     def test_run_longer_than_max_gap_left_missing(self):
         temps = [1.0] + [np.nan] * 7 + [9.0]
         frame = frame_with_temps(temps)
-        out, reports = ingest.impute_linear(frame, max_gap_hours=6)
+        out, reports = ingest.impute_linear(frame)
         assert out.missing[1:8, 2].all()
         assert len(reports) == 1
         assert reports[0].reason == "exceeds_max_gap"
@@ -378,8 +378,8 @@ class TestImpute:
     def test_idempotent(self):
         frame = frame_with_temps([10.0, np.nan, 20.0, np.nan, np.nan, np.nan,
                                   np.nan, np.nan, np.nan, np.nan, 30.0])
-        once, _ = ingest.impute_linear(frame, max_gap_hours=3)
-        twice, _ = ingest.impute_linear(once, max_gap_hours=3)
+        once, _ = ingest.impute_linear(frame)
+        twice, _ = ingest.impute_linear(once)
         np.testing.assert_array_equal(
             np.nan_to_num(once.data, nan=-1), np.nan_to_num(twice.data, nan=-1))
         np.testing.assert_array_equal(once.missing, twice.missing)

@@ -489,7 +489,7 @@ def test_windows_match_reference_and_stay_inside_segments_and_splits(case):
 def frames_with_holes(draw):
     """A frame of one to four hourly segments, 2 to 4 hours apart, with NaN
     holes in the weather columns (row 0 observed, so no column is entirely
-    missing), and a max_gap_hours."""
+    missing)."""
     ts, _ = hourly_segments(draw, max_length=60, max_skip=3)
     n = ts.size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -499,14 +499,13 @@ def frames_with_holes(draw):
     missing[:, 2:8] = rng.random((n, 6)) < rate
     missing[0, 2:8] = False
     data[missing] = np.nan
-    return ingest.AlignedFrame(ts, data), draw(st.integers(1, 8))
+    return ingest.AlignedFrame(ts, data)
 
 
 @given(frames_with_holes())
-def test_impute_linear_is_idempotent(case):
-    frame, max_gap = case
-    once, reports = ingest.impute_linear(frame, max_gap_hours=max_gap)
-    twice, reports_again = ingest.impute_linear(once, max_gap_hours=max_gap)
+def test_impute_linear_is_idempotent(frame):
+    once, reports = ingest.impute_linear(frame)
+    twice, reports_again = ingest.impute_linear(once)
     assert once.data.tobytes() == twice.data.tobytes()
     np.testing.assert_array_equal(once.missing, twice.missing)
     assert reports_again == reports
@@ -514,18 +513,16 @@ def test_impute_linear_is_idempotent(case):
 
 @given(frames_with_holes())
 @settings(max_examples=200)
-def test_impute_linear_matches_the_per_segment_reference(case):
-    frame, max_gap = case
-    expected, expected_reports = ref.impute_linear(frame, max_gap_hours=max_gap)
-    got, reports = ingest.impute_linear(frame, max_gap_hours=max_gap)
+def test_impute_linear_matches_the_per_segment_reference(frame):
+    expected, expected_reports = ref.impute_linear(frame, max_gap_hours=ingest.MAX_GAP_HOURS)
+    got, reports = ingest.impute_linear(frame)
     assert_same_arrays(expected, got)
     assert reports == expected_reports
 
 
 @given(frames_with_holes())
 @settings(max_examples=200)
-def test_add_lag_feature_matches_the_per_segment_reference(case):
-    frame, _ = case
+def test_add_lag_feature_matches_the_per_segment_reference(frame):
     expected, ref_err = result_or_error(ref.add_lag_feature, frame)
     got, err = result_or_error(ingest.add_lag_feature, frame)
     assert err == ref_err

@@ -273,7 +273,7 @@ def test_dropout_rejects_bad_rate():
 
 def test_batchnorm_infer_uses_running_stats():
     rng = seeded_rng(8, "bn-running")
-    bn = nn.BatchNorm1d(2, momentum=0.5)
+    bn = nn.BatchNorm1d(2)
     x = rng.normal(loc=3.0, scale=2.0, size=(16, 10, 2))
     for _ in range(60):
         bn.forward(x, train=True)

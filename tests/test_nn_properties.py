@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import nn_reference as ref
 from gridcast import nn
+from gridcast.nn.layers import BN_MOMENTUM, NORM_EPS
 from gridcast.seeding import seeded_rng
 
 EPS = np.finfo(np.float64).eps
@@ -39,7 +40,7 @@ def test_layer_norm_matches_reference(b, t, d, seed, scale, offset):
     ln = random_layer_norm(d, rng)
     gamma, beta = ln.params["gamma"], ln.params["beta"]
     x = offset + scale * rng.normal(size=(b, t, d))
-    out_ref, xhat_ref, inv_ref = ref.layer_norm(x, gamma, beta, ln.eps)
+    out_ref, xhat_ref, inv_ref = ref.layer_norm(x, gamma, beta, NORM_EPS)
 
     # only the variance's summation order changed: d roundings, halved by sqrt
     out = ln.forward(x, train=False)
@@ -65,9 +66,9 @@ def test_layer_norm_of_constant_rows_is_beta(b, t, d, seed, c):
     out = ln.forward(x)
     assert np.isfinite(out).all()
     # the row mean is within d*eps*|c| of c, and the scale is at most 1/sqrt(eps_ln)
-    bound = 2 * np.abs(gamma) * d * EPS * abs(c) / np.sqrt(ln.eps) + EPS * np.abs(beta)
+    bound = 2 * np.abs(gamma) * d * EPS * abs(c) / np.sqrt(NORM_EPS) + EPS * np.abs(beta)
     assert np.all(np.abs(out - beta) <= bound)
-    assert np.all(np.abs(out - ref.layer_norm(x, gamma, beta, ln.eps)[0]) <= 2 * bound)
+    assert np.all(np.abs(out - ref.layer_norm(x, gamma, beta, NORM_EPS)[0]) <= 2 * bound)
 
 
 def logit_attention():
@@ -170,9 +171,9 @@ def test_batch_norm_inference_matches_reference(b, t, c, seed, scale, offset):
     mean[...] = offset + scale * rng.normal(size=c)
     var[...] = scale ** 2 * rng.uniform(0.1, 10.0, size=c)
     x = offset + scale * rng.normal(size=(b, t, c))
-    out_ref = ref.batch_norm_infer(x, gamma, beta, mean, var, bn.eps)
+    out_ref = ref.batch_norm_infer(x, gamma, beta, mean, var, NORM_EPS)
     # gamma folded into the scale moves one rounding: about 4 eps of gamma * xhat
-    gxhat = np.abs(gamma * (x - mean)) / np.sqrt(var + bn.eps)
+    gxhat = np.abs(gamma * (x - mean)) / np.sqrt(var + NORM_EPS)
     assert np.all(np.abs(bn.forward(x) - out_ref) <= 8 * EPS * (gxhat + np.abs(beta)))
 
 
@@ -219,8 +220,8 @@ def test_batch_norm_train_matches_reference(b, t, c, seed, scale, offset):
     gamma[...] = rng.normal(size=c)
     beta[...] = rng.normal(size=c)
     x = offset + scale * rng.normal(size=(b, t, c))
-    out_ref, xhat_ref, inv_ref, mean_ref, var_ref = ref.batch_norm_train(x, gamma, beta, bn.eps)
-    n, m = b * t, bn.momentum
+    out_ref, xhat_ref, inv_ref, mean_ref, var_ref = ref.batch_norm_train(x, gamma, beta, NORM_EPS)
+    n, m = b * t, BN_MOMENTUM
 
     # only the variance's summation order changed: n roundings, halved by sqrt
     out = bn.forward(x, train=True)

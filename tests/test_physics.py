@@ -89,7 +89,7 @@ class TestTolerance:
     def test_single_bin_plus_minus_100(self):
         temps = np.full(40, 5.0)
         residuals = np.array([100.0, -100.0] * 20)
-        tol = physics.fit_tolerance(temps, residuals, bin_width_c=2.0)
+        tol = physics.fit_tolerance(temps, residuals)
         assert tol.sigma(5.0) == pytest.approx(100.0)
         assert tol.epsilon(5.0) == pytest.approx(200.0)
 
@@ -98,15 +98,15 @@ class TestTolerance:
         residuals = np.concatenate([
             np.tile([50.0, -50.0], 25), np.tile([400.0], 5),
         ])
-        tol = physics.fit_tolerance(temps, residuals, bin_width_c=2.0, min_bin_count=30)
+        tol = physics.fit_tolerance(temps, residuals)
         # the 9 degree bin has only 5 points, so it borrows the 1 degree sigma
         assert tol.sigma(9.0) == pytest.approx(tol.sigma(1.0))
 
     def test_floor_clamp(self):
         temps = np.full(40, 5.0)
         residuals = np.full(40, 0.0)
-        tol = physics.fit_tolerance(temps, residuals, sigma_floor_mw=25.0)
-        assert tol.sigma(5.0) == 25.0
+        tol = physics.fit_tolerance(temps, residuals)
+        assert tol.sigma(5.0) == physics.SIGMA_FLOOR_MW
 
     def test_empty_errors(self):
         with pytest.raises(CalibrationError):
@@ -126,8 +126,7 @@ class TestTolerance:
     ])
     def test_model_rejects_non_finite_sigma_and_edges(self, sigma, edges):
         with pytest.raises(CalibrationError, match="finite"):
-            physics.ToleranceModel(bin_edges_c=np.array(edges), sigma_mw=np.array(sigma),
-                                   sigma_floor_mw=1.0)
+            physics.ToleranceModel(bin_edges_c=np.array(edges), sigma_mw=np.array(sigma))
 
 
 def flat_tolerance(eps_mw):
@@ -135,7 +134,6 @@ def flat_tolerance(eps_mw):
     return physics.ToleranceModel(
         bin_edges_c=np.array([-100.0, 100.0]),
         sigma_mw=np.array([eps_mw / 2.0]),
-        sigma_floor_mw=eps_mw / 2.0,
     )
 
 
@@ -363,7 +361,7 @@ class TestDeltaMax:
     def test_interpolated_percentile_definition(self):
         diffs = np.arange(1000.0)
         series = np.concatenate([[0.0], np.cumsum(diffs)])
-        assert physics.estimate_delta_max(series, 99.5) == pytest.approx(994.005)
+        assert physics.estimate_delta_max(series) == pytest.approx(994.005)
 
     def test_too_short(self):
         with pytest.raises(CalibrationError):

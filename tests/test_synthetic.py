@@ -37,8 +37,9 @@ def test_weekend_and_holiday_dips_follow_the_ingest_calendar():
     weekend, holiday = frame.col("is_weekend"), frame.col("is_holiday")
     assert weekend.any() and holiday.any() and (weekend * holiday).any()
     mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
-    envelope = physics.envelope_demand(cfg.envelope, mean_temp)
-    clipped = (data.demand_mw <= cfg.demand_clip_mw[0]) | (data.demand_mw >= cfg.demand_clip_mw[1])
+    envelope = physics.envelope_demand(physics.REFERENCE_ENVELOPE, mean_temp)
+    lo, hi = synthetic.DEMAND_CLIP_MW
+    clipped = (data.demand_mw <= lo) | (data.demand_mw >= hi)
     assert not clipped.all()
     np.testing.assert_allclose((data.demand_mw - envelope)[~clipped],
                                (-1800.0 * weekend - 1200.0 * holiday)[~clipped], atol=1e-9)
@@ -48,8 +49,9 @@ def test_zero_noise_demand_sits_exactly_on_the_envelope():
     cfg = noiseless_config()
     data = synthetic.generate(cfg)
     mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
-    expected = physics.envelope_demand(cfg.envelope, mean_temp)
-    clipped = (expected < cfg.demand_clip_mw[0]) | (expected > cfg.demand_clip_mw[1])
+    expected = physics.envelope_demand(physics.REFERENCE_ENVELOPE, mean_temp)
+    lo, hi = synthetic.DEMAND_CLIP_MW
+    clipped = (expected < lo) | (expected > hi)
     np.testing.assert_allclose(data.demand_mw[~clipped], expected[~clipped], atol=1e-9)
 
 
@@ -57,8 +59,8 @@ def test_envelope_refit_recovers_generating_coefficients():
     cfg = noiseless_config()
     data = synthetic.generate(cfg)
     mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
-    fit, _ = physics.fit_envelope(mean_temp, data.demand_mw, cfg.envelope.t0_c)
-    for name, ref in dataclasses.asdict(cfg.envelope).items():
+    fit, _ = physics.fit_envelope(mean_temp, data.demand_mw, physics.REFERENCE_ENVELOPE.t0_c)
+    for name, ref in dataclasses.asdict(physics.REFERENCE_ENVELOPE).items():
         assert getattr(fit, name) == pytest.approx(ref, rel=1e-6)
 
 
