@@ -1,4 +1,5 @@
-"""gridcast: physics-informed dual-branch load forecasting at desk scale.
+"""gridcast: numpy building blocks for physics-informed next-hour grid load
+forecasting at desk scale.
 
 Subpackages and modules:
 
@@ -8,6 +9,8 @@ Subpackages and modules:
                the band/ramp penalties with analytic gradients
 - nn           numpy layers with manual backprop, Adam, checkpoints
 - synthetic    envelope-driven synthetic dataset generator
+- errors       the GridcastError hierarchy raised at input boundaries
+- seeding      per-purpose random streams derived from one seed
 """
 
 __version__ = "0.1.0"

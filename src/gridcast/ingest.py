@@ -657,7 +657,11 @@ class SplitSpec:
     def __post_init__(self):
         parsed = []
         for tag in ("train", "val", "test"):
-            lo, hi = getattr(self, tag)
+            try:
+                lo, hi = getattr(self, tag)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{tag} must be a (start, end) pair, "
+                                  f"got {getattr(self, tag)!r}") from None
             lo = parse_timestamp(lo, f"{tag} start")
             hi = parse_timestamp(hi, f"{tag} end")
             if not lo < hi:

@@ -2,8 +2,8 @@
 gradients, an Adam optimizer, and a deterministic checkpoint format.
 
 Training and gradient checks run in float64. Inference computes in the
-dtype of its input and parameters: a model whose params, buffers and
-positional table are cast to float32 returns float32. The layer contract:
+dtype of its input and parameters: a model whose params and buffers are
+cast to float32 returns float32. The layer contract:
 
 - forward(x, train=True) caches whatever backward() needs; backward() uses
   the cache of the last train-mode forward.
@@ -13,8 +13,8 @@ positional table are cast to float32 returns float32. The layer contract:
 - A layer writes only to arrays it allocated, never to its input or its
   upstream gradient; further arithmetic runs in place on its own output.
 - Trainable arrays live in `params` (gradients in `grads`); non-trainable
-  state, such as BatchNorm running statistics, lives in `buffers` and is
-  updated in place.
+  arrays, BatchNorm running statistics and the positional table, live in
+  `buffers`, and those that change are updated in place.
 - Layer.walk(prefix) is the one traversal of the layer tree; named_params,
   named_grads, zero_grads and state_tensors are built on it.
 - Composition is Sequential (a chain) and Residual (x + chain(x)).

@@ -1,5 +1,5 @@
-"""Layers with manual forward/backward passes on numpy arrays. Training runs
-in float64; inference computes in the dtype of its input and parameters.
+"""Layers with manual forward/backward passes on numpy arrays, under the
+layer contract stated in the gridcast.nn package docstring.
 
 Shape conventions: sequence tensors are (batch, time, channels); flat
 tensors are (batch, features). Dense applies to the last axis, so it doubles
@@ -7,18 +7,6 @@ as a per-position projection on sequence tensors.
 
 Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
-
-Each kernel is written once: `_affine_backward` is the gradient of Dense, of
-Conv1d through Dense and of attention's projections, whose input projections
-are stored as the one matrix Wqkv = [Wq | Wk | Wv] that the forward's single
-projection and the backward's single gradient both use; `_Norm`
-normalizes for BatchNorm1d (over batch and time) and LayerNorm (over the last
-axis); and `Conv1d._taps` places each tap. Conv1d is a Dense over each step's
-patch, with W of shape (kernel·c_in, c_out) in tap-major order.
-
-A layer writes only to arrays it allocated, never to its input or upstream
-gradient: a forward pass allocates its output (plus its cache in train mode)
-and does further arithmetic in place on it, with no other full-size temporary.
 """
 
 import numpy as np
@@ -112,7 +100,8 @@ class Layer:
             g[...] = 0.0
 
     def state_tensors(self, prefix=""):
-        """Like named_params but also holding the buffers (BN running stats)."""
+        """Like named_params but also holding the buffers (BatchNorm running
+        stats, positional tables)."""
         return self._collect(prefix, "params", "buffers")
 
 
@@ -198,6 +187,7 @@ class _Norm(Layer):
 
     def __init__(self, width):
         super().__init__()
+        _check_sizes(width=width)
         self.width = width
         self.params = {"gamma": np.ones(width), "beta": np.zeros(width)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -249,9 +239,9 @@ class BatchNorm1d(_Norm):
 
     axes = (0, 1)
 
-    def __init__(self, channels):
-        super().__init__(channels)
-        self.buffers = {"running_mean": np.zeros(channels), "running_var": np.ones(channels)}
+    def __init__(self, width):
+        super().__init__(width)
+        self.buffers = {"running_mean": np.zeros(width), "running_var": np.ones(width)}
 
     def forward(self, x, train=False):
         run_mean, run_var = self.buffers["running_mean"], self.buffers["running_var"]
@@ -336,6 +326,7 @@ def positional_encoding(t, d_model):
 
     Even columns carry sin(pos / 10000^(2i/d)), odd columns the matching cos.
     """
+    _check_sizes(t=t, d_model=d_model)
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs even d_model, got {d_model}")
     pos = np.arange(t)[:, None]
@@ -348,16 +339,17 @@ def positional_encoding(t, d_model):
 
 
 class PositionalEncodingAdd(Layer):
-    """Adds the fixed sinusoidal table to a (B, T, d_model) tensor."""
+    """Adds the fixed sinusoidal table, buffer "pe", to a (B, T, d_model) tensor."""
 
     def __init__(self, t, d_model):
         super().__init__()
-        self.pe = positional_encoding(t, d_model)
+        self.buffers = {"pe": positional_encoding(t, d_model)}
 
     def forward(self, x, train=False):
-        if x.shape[1:] != self.pe.shape:
-            raise ShapeError(f"expected (B, {self.pe.shape[0]}, {self.pe.shape[1]}), got {x.shape}")
-        return x + self.pe
+        pe = self.buffers["pe"]
+        if x.shape[1:] != pe.shape:
+            raise ShapeError(f"expected (B, {pe.shape[0]}, {pe.shape[1]}), got {x.shape}")
+        return x + pe
 
     def backward(self, dy):
         return dy

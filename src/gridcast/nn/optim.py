@@ -20,6 +20,9 @@ class Adam:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
+        for name in ("lr", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
     def step(self, params, grads):
         """One update: params[k] -= lr * m_hat / (sqrt(v_hat) + eps)."""

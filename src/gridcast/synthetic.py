@@ -14,6 +14,7 @@ byte-identical files, all of which gridcast.ingest writes.
 
 import datetime as dt
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -109,8 +110,11 @@ class SyntheticConfig:
     stations: tuple = ("BKS", "JDD", "TME")
 
     def __post_init__(self):
-        if self.years < 1:
-            raise ConfigError("years must be >= 1")
+        for name, least in (("seed", 0), ("years", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                               and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         try:
             start_date = dt.date.fromisoformat(self.start)
             start_date.replace(year=start_date.year + self.years)  # generate's end date
@@ -121,7 +125,7 @@ class SyntheticConfig:
                               f"{self.years} years later too, got {self.start!r}")
         if min(self.t_noise_c, self.station_noise_c, self.noise_std_mw) < 0:
             raise ConfigError("noise scales must be >= 0")
-        if not 0.0 <= self.missing_rate < 1.0:
+        if not (isinstance(self.missing_rate, numbers.Real) and 0.0 <= self.missing_rate < 1.0):
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
         if len(self.stations) != len(self.station_offsets_c):
             raise ConfigError("one temperature offset per station required")

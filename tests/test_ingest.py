@@ -635,6 +635,17 @@ class TestSplitSpec:
         assert all(spec == specs[0] for spec in specs)
         assert specs[0].train[0] == np.datetime64("2024-01-01T00:00:00", "s")
 
+    @pytest.mark.parametrize("train", [
+        None, ("2024-01-01T00:00:00Z",),
+        ("2024-01-01T00:00:00Z", "2024-01-15T00:00:00Z", "2024-02-01T00:00:00Z"),
+    ], ids=repr)
+    def test_range_that_is_not_a_start_end_pair_is_a_config_error(self, train):
+        # a raw TypeError for None and a raw ValueError for the tuples
+        with pytest.raises(ConfigError, match="^train must be a"):
+            ingest.SplitSpec(train=train,
+                             val=("2024-02-01T00:00:00Z", "2024-03-01T00:00:00Z"),
+                             test=("2024-03-01T00:00:00Z", "2024-04-01T00:00:00Z"))
+
     def test_overlapping_ranges_rejected(self):
         with pytest.raises(WindowError):
             ingest.SplitSpec(

@@ -1,5 +1,6 @@
 """Finite-difference checks and behavioral tests for every layer type."""
 
+import inspect
 import re
 
 import numpy as np
@@ -232,10 +233,20 @@ def test_attention_divisibility_error():
     (nn.Conv1d, (3, 4, -1), "kernel"),  # was OverflowError
     (nn.Conv1d, (0, 4, 3), "c_in"),
     (nn.Conv1d, (3, 0, 3), "c_out"),
+    (nn.BatchNorm1d, (-1,), "width"),  # was a raw ValueError
+    (nn.BatchNorm1d, (2.5,), "width"),  # was a raw TypeError
+    (nn.BatchNorm1d, (0,), "width"),  # was accepted
+    (nn.LayerNorm, (-3,), "width"),
+    (nn.LayerNorm, (0,), "width"),
+    (nn.PositionalEncodingAdd, (24, -2), "d_model"),  # was a raw ValueError
+    (nn.PositionalEncodingAdd, (-1, 4), "t"),
+    (nn.PositionalEncodingAdd, (0, 4), "t"),  # was accepted
+    (nn.PositionalEncodingAdd, (24, 0), "d_model"),
 ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_constructors_reject_non_positive_sizes_naming_them(cls, sizes, name):
+    rng = [seeded_rng(0, "sizes")] if "rng" in inspect.signature(cls).parameters else []
     with pytest.raises(ConfigError, match=f"^{name} must be a positive integer"):
-        cls(*sizes, seeded_rng(0, "sizes"))
+        cls(*sizes, *rng)
 
 
 def test_attention_init_draws_in_the_order_of_separate_projections():
@@ -400,12 +411,10 @@ def test_batch_predictions_match_row_by_row(branch):
 
 
 def as_float32(model):
-    """Cast a model's params, buffers and positional tables to float32."""
+    """Cast a model's params and buffers to float32."""
     for _, layer in model.walk():
         for attr in ("params", "buffers"):
             setattr(layer, attr, {k: v.astype(np.float32) for k, v in getattr(layer, attr).items()})
-        if isinstance(layer, nn.PositionalEncodingAdd):
-            layer.pe = layer.pe.astype(np.float32)
     return model
 
 

@@ -36,8 +36,13 @@ def test_constant_gradient_decreases_monotonically():
 
 
 def test_bad_betas_rejected():
-    with pytest.raises(ConfigError):
-        nn.Adam(beta1=1.0)
+    for setting, name in [
+        (dict(beta1=1.0), "betas"),
+        # these three were accepted
+        (dict(lr=float("nan")), "lr"), (dict(lr=-1.0), "lr"), (dict(eps=0.0), "eps"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            nn.Adam(**setting)
 
 
 def test_checkpoint_roundtrip_and_determinism(tmp_path):

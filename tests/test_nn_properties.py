@@ -220,7 +220,8 @@ def test_batch_norm_train_matches_reference(b, t, c, seed, scale, offset):
     gamma[...] = rng.normal(size=c)
     beta[...] = rng.normal(size=c)
     x = offset + scale * rng.normal(size=(b, t, c))
-    out_ref, xhat_ref, inv_ref, mean_ref, var_ref = ref.batch_norm_train(x, gamma, beta, NORM_EPS)
+    out_ref, xhat_ref, inv_ref, mean_ref, var_ref = ref.batch_norm_train(
+        x, gamma, beta, NORM_EPS)
     n, m = b * t, BN_MOMENTUM
 
     # only the variance's summation order changed: n roundings, halved by sqrt

@@ -205,9 +205,13 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     (dict(missing_rate=1.0), "missing_rate"),
     (dict(missing_rate=-0.5), "missing_rate"),
     (dict(missing_rate=float("nan")), "missing_rate"),
+    (dict(missing_rate="a"), "missing_rate"),  # was a raw TypeError
+    (dict(seed=-1), "seed"),  # passed, then generate raised numpy's ValueError
+    (dict(years=1.5), "years"),  # named start
+    (dict(years=True), "years"),  # was accepted
 ])
 def test_bad_config_is_a_config_error(overrides, field):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=f"^{field}"):
         synthetic.SyntheticConfig(**overrides)
 
 
