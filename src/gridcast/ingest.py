@@ -277,11 +277,15 @@ def _datetimes(texts):
 
 
 def parse_timestamp(value, field):
-    """One timestamp by the CSV column's rule; a non-string value such as a
-    np.datetime64 is taken as it is. Returns datetime64[s]; raises
-    ConfigError naming `field` for text the rule rejects."""
-    if not isinstance(value, str):
+    """One timestamp: a str by the CSV column's rule, or a np.datetime64 taken
+    as it is. Returns datetime64[s]; raises ConfigError naming `field` for
+    text the rule rejects, for NaT and for a value of any other type."""
+    if isinstance(value, np.datetime64):
+        if np.isnat(value):
+            raise ConfigError(f"{field}: timestamp is NaT")
         return np.datetime64(value, "s")
+    if not isinstance(value, str):
+        raise ConfigError(f"{field}: timestamp must be a str or np.datetime64, got {value!r}")
     try:
         return _datetimes([value])[0]
     except ValueError:

@@ -23,9 +23,11 @@ cast to float32 returns float32. The layer contract:
   parameter Wqkv = [Wq | Wk | Wv] of shape (d_model, 3·d_model), with bias
   bqkv, so one affine map gives q | k | v and one gradient goes back
   through it), one normalization (BatchNorm1d over batch and
-  time, LayerNorm over the last axis), and one tap rule for Conv1d, which
+  time, LayerNorm over the last axis), one tap rule for Conv1d, which
   is a Dense over each step's patch with W of shape (kernel·c_in, c_out),
-  tap-major.
+  tap-major, and one softmax: attention writes its scores into a key-major
+  (T_k, B, n_heads, T_q) buffer and normalizes it over axis 0;
+  attention_weights returns the (B, n_heads, T_q, T_k) view of that buffer.
 - A constructor raises ConfigError, naming the argument, for a size that
   is not a positive integer.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,
@@ -52,7 +54,6 @@ from .layers import (
 )
 from .optim import Adam
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import central_difference_grad, relative_error
 
 __all__ = [
     "Adam",
@@ -71,9 +72,7 @@ __all__ = [
     "ReLU",
     "Residual",
     "Sequential",
-    "central_difference_grad",
     "load_checkpoint",
     "positional_encoding",
-    "relative_error",
     "save_checkpoint",
 ]

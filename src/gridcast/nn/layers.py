@@ -371,6 +371,12 @@ class MultiHeadSelfAttention(Layer):
     heads are concatenated and linearly projected back to d_model. The input
     projections are stored as one Wqkv = [Wq | Wk | Wv] of shape
     (d_model, 3·d_model) with bias bqkv = [bq | bk | bv].
+
+    The softmax weights live in one key-major (T_k, B, n_heads, T_q) buffer,
+    written by K Q^T and normalized over axis 0, so each softmax step is a
+    few whole-vector operations rather than one reduction per row;
+    attention_weights and the products with V read it through its
+    (B, n_heads, T_q, T_k) transposed view.
     """
 
     def __init__(self, d_model, n_heads, rng):
@@ -400,16 +406,19 @@ class MultiHeadSelfAttention(Layer):
         if x.ndim != 3 or x.shape[2] != self.d_model:
             raise ShapeError(f"attention expects (B, T, {self.d_model}), got {x.shape}")
         q, k, v = self._split(_affine(x, self.params["Wqkv"], self.params["bqkv"]))
-        # row softmax in place on the scores array the product allocated
-        attn = q @ k.transpose(0, 1, 3, 2)
-        attn *= self.scale
-        attn -= attn.max(axis=-1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        return q, k, v, attn
+        b, h, t, _ = q.shape
+        w = np.empty((t, b, h, t), dtype=q.dtype)  # w[j, b, h, i]: key j, query i
+        np.matmul(k, q.transpose(0, 1, 3, 2), out=w.transpose(1, 2, 0, 3))
+        # row softmax in place, each step over the keys of all rows at once
+        w *= self.scale
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w /= w.sum(axis=0)
+        return q, k, v, w.transpose(1, 2, 3, 0)
 
     def attention_weights(self, x):
-        """Row-softmax attention weights, shape (B, n_heads, T, T)."""
+        """Row-softmax attention weights, shape (B, n_heads, T, T): a view
+        of a new key-major (T, B, n_heads, T) buffer, not a contiguous array."""
         return self._attend(x)[3]
 
     def forward(self, x, train=False):

@@ -14,6 +14,7 @@ byte-identical files, all of which gridcast.ingest writes.
 
 import datetime as dt
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -89,6 +90,16 @@ def default_event_schedule(start_year, years):
     return tuple(events)
 
 
+# SyntheticConfig's scalar float fields; a noise scale must also be >= 0
+_DEMAND_TERMS = ("diurnal_amp_mw", "weekend_dip_mw", "holiday_dip_mw", "wind_coupling_mw")
+_NOISE_SCALES = ("t_noise_c", "station_noise_c", "noise_std_mw")
+
+
+def _finite_real(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     start: str = "2024-01-01"
@@ -123,11 +134,19 @@ class SyntheticConfig:
         if start_date is None or start_date.isoformat() != self.start:
             raise ConfigError(f"start must be an ISO date (YYYY-MM-DD) whose day exists "
                               f"{self.years} years later too, got {self.start!r}")
-        if min(self.t_noise_c, self.station_noise_c, self.noise_std_mw) < 0:
-            raise ConfigError("noise scales must be >= 0")
+        for name in (*_DEMAND_TERMS, *_NOISE_SCALES):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+            if name in _NOISE_SCALES and value < 0:
+                raise ConfigError(f"{name} must be >= 0 (a noise scale), got {value!r}")
         if not (isinstance(self.missing_rate, numbers.Real) and 0.0 <= self.missing_rate < 1.0):
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
-        if len(self.stations) != len(self.station_offsets_c):
+        offsets = self.station_offsets_c
+        if not (isinstance(offsets, (tuple, list)) and all(map(_finite_real, offsets))):
+            raise ConfigError(f"station_offsets_c must be a tuple of finite real numbers, "
+                              f"got {offsets!r}")
+        if len(self.stations) != len(offsets):
             raise ConfigError("one temperature offset per station required")
         for station in self.stations:
             ingest.check_station_id(station)

@@ -628,6 +628,15 @@ class TestSplitSpec:
         with pytest.raises(ConfigError, match="train start"):
             self.spec(start)
 
+    @pytest.mark.parametrize("start", [
+        None, 1.5, 1704067200, b"2024-01-01", np.datetime64("NaT"), np.datetime64("NaT", "s"),
+    ], ids=repr)
+    def test_bound_neither_text_nor_a_datetime64_is_a_config_error(self, start):
+        # None once read as NaT and failed as an empty range; 1.5 raised
+        # numpy's raw ValueError
+        with pytest.raises(ConfigError, match="^train start: "):
+            self.spec(start)
+
     def test_date_text_and_datetime64_bounds_are_accepted(self):
         forms = ["2024-01-01", "2024-01-01T00:00:00", "2024-01-01T00:00:00Z",
                  np.datetime64("2024-01-01"), np.datetime64("2024-01-01T00:00:00", "s")]

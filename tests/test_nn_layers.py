@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nn_reference as ref
+from gradcheck import central_difference_grad, relative_error
 from gridcast import nn
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.seeding import seeded_rng
@@ -25,8 +26,8 @@ def input_grad_check(make_layer, x_shape, seed, h=1e-5, tol=1e-4, train=True):
     proj = rng.normal(size=y.shape)
     layer.zero_grads()
     analytic = layer.backward(proj)
-    numeric = nn.central_difference_grad(lambda v: loss_through(layer, v, proj, train), x, h=h)
-    assert nn.relative_error(analytic, numeric) < tol
+    numeric = central_difference_grad(lambda v: loss_through(layer, v, proj, train), x, h=h)
+    assert relative_error(analytic, numeric) < tol
 
 
 def param_grad_check(make_layer, x_shape, seed, h=1e-5, tol=1e-4):
@@ -49,8 +50,8 @@ def param_grad_check(make_layer, x_shape, seed, h=1e-5, tol=1e-4):
             _p[...] = old
             return out
 
-        numeric = nn.central_difference_grad(f, p.copy(), h=h)
-        err = nn.relative_error(analytic[name], numeric)
+        numeric = central_difference_grad(f, p.copy(), h=h)
+        err = relative_error(analytic[name], numeric)
         assert err < tol, f"param {name}: rel err {err}"
 
 

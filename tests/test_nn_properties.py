@@ -90,7 +90,11 @@ def test_softmax_of_logits_up_to_1e4_is_finite_and_sums_to_one(data, b, t):
     assert np.isfinite(weights).all()
     assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= (t + 1) * EPS)
     expected = ref.softmax(np.broadcast_to(logits[:, None, None, :, 0], weights.shape))
-    np.testing.assert_array_equal(weights, expected)
+    # every score is 1 * logit, exact, so the exponentials are the reference's;
+    # only the row sum's order changed, sequential over the keys against
+    # numpy's pairwise sum: two t-term sums of positive terms differ by
+    # (t - 1) * EPS of the sum, and each division rounds once
+    assert np.all(np.abs(weights - expected) <= (t + 1) * EPS * expected)
 
 
 @examples
@@ -101,11 +105,80 @@ def test_attention_matches_reference(b, t, heads, d_k, seed, scale):
     attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(seed, "attention"))
     x = scale * np.random.default_rng(seed).normal(size=(b, t, d))
     out_ref, weights_ref, ctx_ref = ref.attention(x, attn.params, heads)
-    np.testing.assert_array_equal(attn.attention_weights(x), weights_ref)
-    # a dot product of d terms: d roundings of the terms' magnitudes
-    p = attn.params
-    bound = 4 * d * EPS * (np.abs(ctx_ref) @ np.abs(p["Wo"]) + np.abs(p["bo"]))
-    assert np.all(np.abs(attn.forward(x) - out_ref) <= bound)
+    weights = attn.attention_weights(x)
+    assert np.all(np.abs(weights - weights_ref) <= weights_bound(x, attn.params, heads, weights_ref))
+    assert np.all(np.abs(attn.forward(x) - out_ref) <= output_bound(attn.params, ctx_ref))
+
+
+def weights_bound(x, params, n_heads, weights_ref):
+    """How far the layer's softmax weights may be from the reference's.
+
+    The scores come from k @ q^T written into the key-major buffer: the
+    reference's d_k products of q @ k^T, bit-identical wherever BLAS sums them
+    in the same order (at every shape tried). Where a BLAS may not, a score
+    moves by its d_k-term rounding plus the scale's and the shift's, at most
+    r = (d_k + 4) * EPS * max_j scale * (|q| |k|^T)_ij over a row, and the
+    row's weights by 2 * r + EPS (the exp's own rounding) relative. The row
+    sum runs sequentially over the keys, against numpy's pairwise sum: two
+    t-term sums of positive terms differ by (t - 1) * EPS of the sum, and
+    the division rounds once more; one EPS more covers second-order terms.
+    """
+    params = ref.projections(params)
+    d_k, t = x.shape[2] // n_heads, x.shape[1]
+    q, k = (ref.split_heads(np.abs(x @ params[f"W{n}"] + params[f"b{n}"]), n_heads) for n in "qk")
+    r = (d_k + 4) * EPS / np.sqrt(d_k) * (q @ k.transpose(0, 1, 3, 2)).max(axis=-1, keepdims=True)
+    return ((t + 2) * EPS + 2 * r) * weights_ref
+
+
+def output_bound(params, ctx_ref):
+    """How far the layer's output may be from the reference's: a dot product
+    of d terms, d roundings of the terms' magnitudes."""
+    d = ctx_ref.shape[2]
+    return 4 * d * EPS * (np.abs(ctx_ref) @ np.abs(params["Wo"]) + np.abs(params["bo"]))
+
+
+@examples
+@given(b=st.integers(2, 6), t=steps, heads=st.sampled_from([1, 2, 4]), d_k=st.integers(1, 4),
+       seed=seeds, scale=st.floats(1e-2, 1e1))
+def test_attention_windows_never_mix(b, t, heads, d_k, seed, scale):
+    # the key-major buffer interleaves windows and heads: each window's
+    # output and weights must be those of the window alone
+    d = heads * d_k
+    attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(seed, "attention"))
+    x = scale * np.random.default_rng(seed).normal(size=(b, t, d))
+    _, weights_ref, ctx_ref = ref.attention(x, attn.params, heads)
+    out_bound = output_bound(attn.params, ctx_ref)
+    w_bound = weights_bound(x, attn.params, heads, weights_ref)
+    out, weights = attn.forward(x), attn.attention_weights(x)
+    for j in range(b):
+        window = x[j : j + 1]
+        assert np.all(np.abs(out[j] - attn.forward(window)[0]) <= out_bound[j])
+        assert np.all(np.abs(weights[j] - attn.attention_weights(window)[0]) <= w_bound[j])
+
+
+@examples
+@given(b=st.integers(2, 6), t=st.integers(1, 12), c_in=st.integers(1, 4),
+       heads=st.sampled_from([1, 2]), seed=seeds)
+def test_transformer_windows_never_mix(b, t, c_in, heads, seed):
+    d = 4 * heads
+    rng = seeded_rng(seed, "transformer")
+    body = nn.Sequential([
+        ("embed", nn.Dense(c_in, d, rng)),
+        ("pos", nn.PositionalEncodingAdd(t, d)),
+        ("enc", nn.EncoderBlock(d, heads, 2 * d, 0.1, rng)),
+    ])
+    head = nn.Dense(d, 1, rng)
+    model = nn.Sequential([("body", body), ("pool", nn.GlobalAvgPool()), ("head", head)])
+    x = np.random.default_rng(seed).normal(size=(b, t, c_in))
+    out = model.forward(x)
+    # every layer runs each window through the same operations, so a window
+    # alone gives the same rows, up to the forward check's rounding of a
+    # dot product once per sum in the chain (t keys, d- and 2d-wide
+    # projections), on the magnitudes that meet in the head
+    pooled = np.abs(body.forward(x)).mean(axis=1)
+    bound = 4 * (t + 3 * d) * EPS * (pooled @ np.abs(head.params["W"]) + np.abs(head.params["b"]))
+    for j in range(b):
+        assert np.all(np.abs(out[j] - model.forward(x[j : j + 1])[0]) <= bound[j])
 
 
 def attention_backward_terms(x, params, n_heads, dy, weights):

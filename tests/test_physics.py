@@ -9,9 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gradcheck import central_difference_grad, relative_error
 from gridcast import physics
 from gridcast.errors import CalibrationError, ConfigError
-from gridcast.nn import central_difference_grad, relative_error
 from gridcast.seeding import seeded_rng
 
 ENV = physics.REFERENCE_ENVELOPE

@@ -200,7 +200,21 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     (dict(start="2024-1-1"), "start"),
     (dict(start="2024-01-01T00:00:00"), "start"),
     (dict(start="2024-02-29", years=1), "start"),  # no 2025-02-29 to end on
-    (dict(noise_std_mw=-1.0), "noise"),
+    (dict(noise_std_mw=-1.0), "noise_std_mw"),
+    (dict(t_noise_c=-0.1), "t_noise_c"),
+    (dict(station_noise_c=-1e-9), "station_noise_c"),
+    # accepted, then the writer failed naming a row instead of the field
+    (dict(diurnal_amp_mw=float("inf")), "diurnal_amp_mw"),
+    (dict(t_noise_c=float("nan")), "t_noise_c"),
+    (dict(weekend_dip_mw=float("-inf")), "weekend_dip_mw"),
+    (dict(holiday_dip_mw=float("nan")), "holiday_dip_mw"),
+    (dict(wind_coupling_mw=np.float64("inf")), "wind_coupling_mw"),
+    (dict(noise_std_mw="a"), "noise_std_mw"),  # was a raw TypeError
+    (dict(station_noise_c=None), "station_noise_c"),
+    (dict(diurnal_amp_mw=True), "diurnal_amp_mw"),
+    (dict(station_offsets_c=(0.0, float("nan"), 0.0)), "station_offsets_c"),
+    (dict(station_offsets_c=(0.0, "1", 0.0)), "station_offsets_c"),
+    (dict(station_offsets_c=None), "station_offsets_c"),  # was a raw TypeError from len
     (dict(missing_rate=1.5), "missing_rate"),
     (dict(missing_rate=1.0), "missing_rate"),
     (dict(missing_rate=-0.5), "missing_rate"),
