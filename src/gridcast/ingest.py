@@ -7,7 +7,7 @@ Stages (each pure, composable):
     impute_linear                       ->  small interior gaps filled
     encode_calendar                     ->  hour/day-of-week/month/flags
     add_lag_feature                     ->  24-hour-lagged demand column
-    fit_standardizer / make_windows     ->  per-split WindowSets of (M, 24, 13) inputs
+    fit_standardizer / make_windows     ->  per-split WindowSets of (M, 24, 13) float32 inputs
 
 The canonical feature order is FEATURE_COLUMNS; the first seven columns are
 continuous and get standardized, the rest are plain numeric encodings.
@@ -21,12 +21,15 @@ that rule, and three stages read it: impute_linear fills no run that begins
 or ends a segment, add_lag_feature drops each segment's first 24 rows, and
 make_windows takes a target only with the 24 rows before it in its segment.
 
-make_windows standardizes the frame once, into one read-only array that the
-three splits' WindowSets share as std_data; a window is the row it starts at
-(starts), not a copy of its rows. WindowSet.inputs gathers the (M, 24, 13)
-copies through a sliding-window view of std_data on first use and keeps
-them, and WindowSet.slice keeps the shared array and selects start rows, so
-a batch's inputs gather only its own windows.
+make_windows standardizes the frame once, into one read-only float32 array
+that the three splits' WindowSets share as std_data; a window is the row it
+starts at (starts), not a copy of its rows. WindowSet.inputs gathers the
+(M, 24, 13) float32 copies through a sliding-window view of std_data on
+first use and keeps them, and WindowSet.slice keeps the shared array and
+selects start rows, so a batch's inputs gather only its own windows. The
+frame, the Standardizer and the targets stay float64: float32 rounds a
+standardized demand value by a few thousandths of a MW, far below the
+synthetic generator's 350 MW demand noise, and halves every gather.
 
 File formats, each with its writer and its reader here (CSV version 1,
 rejected if the header differs):
@@ -693,8 +696,10 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
 
-    def transform(self, data):
-        return (data - self.mean) / self.std
+    def transform(self, data, out=None):
+        """(data - mean) / std in float64, written into `out` if given; a
+        float32 `out` holds each float64 result rounded once."""
+        return np.divide(data - self.mean, self.std, out=out)
 
     def inverse(self, data):
         return data * self.std + self.mean
@@ -703,7 +708,10 @@ class Standardizer:
         return (mw - self.mean[DEMAND]) / self.std[DEMAND]
 
     def destandardize_demand(self, z):
-        return z * self.std[DEMAND] + self.mean[DEMAND]
+        """MW in float64 for z of any float dtype, under every numpy's
+        promotion rules (a float32 z times a float64 scalar is float32 before
+        numpy 2)."""
+        return np.multiply(z, self.std[DEMAND], dtype=np.float64) + self.mean[DEMAND]
 
     @property
     def demand_std(self):
@@ -735,13 +743,14 @@ def fit_standardizer(frame, split):
 class WindowSet:
     """Model-ready samples: standardized 24x13 inputs with next-hour targets.
 
-    A window is a start row into std_data, the whole standardized frame:
-    window m is rows starts[m] .. starts[m] + 23, and its target is the row
-    after them. std_data is read-only and shared by the three splits of one
-    make_windows call and by every slice of them; no window's rows are
-    copied until `inputs` is read. Targets are retained both standardized
-    (targets_std) and in MW (targets_mw); target_air_temp_c is the raw
-    station-mean temperature at the target hour for the envelope penalty.
+    A window is a start row into std_data, the whole standardized frame in
+    float32: window m is rows starts[m] .. starts[m] + 23, and its target is
+    the row after them. std_data is read-only and shared by the three splits
+    of one make_windows call and by every slice of them; no window's rows
+    are copied until `inputs` is read. Targets are float64 and retained both
+    standardized (targets_std) and in MW (targets_mw); target_air_temp_c is
+    the raw station-mean temperature at the target hour for the envelope
+    penalty.
     """
 
     std_data: np.ndarray
@@ -757,8 +766,9 @@ class WindowSet:
 
     @functools.cached_property
     def inputs(self):
-        """(M, 24, 13) C-contiguous copy of every window's rows, gathered on
-        first use through one sliding-window view of std_data and kept."""
+        """(M, 24, 13) C-contiguous float32 copy of every window's rows,
+        gathered on first use through one sliding-window view of std_data
+        and kept."""
         blocks = sliding_window_view(self.std_data, (WINDOW_HOURS, N_FEATURES))
         return blocks[self.starts, 0]
 
@@ -774,12 +784,14 @@ def make_windows(frame, standardizer, split):
     """Build per-split WindowSets; window rows [t-23, t] predict hour t+1.
 
     Windows never cross split boundaries or hourly gaps. All three splits
-    share one read-only standardized copy of the frame. Raises WindowError
-    if any split produces no window.
+    share one read-only standardized copy of the frame, in float32: each
+    value is standardizer.transform's float64 result rounded once, and no
+    float64 copy is kept. Raises WindowError if any split produces no window.
     """
     if np.isnan(frame.data).any():
         raise WindowError("frame must be fully imputed before windowing")
-    std_data = standardizer.transform(frame.data)
+    std_data = standardizer.transform(
+        frame.data, out=np.empty(frame.data.shape, dtype=np.float32))
     std_data.flags.writeable = False
     out = {}
     for tag in ("train", "val", "test"):

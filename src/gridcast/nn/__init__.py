@@ -3,7 +3,11 @@ gradients, an Adam optimizer, and a deterministic checkpoint format.
 
 Training and gradient checks run in float64. Inference computes in the
 dtype of its input and parameters: a model whose params and buffers are
-cast to float32 returns float32. The layer contract:
+cast to float32 returns float32. Mixed dtypes follow numpy's promotion: a
+layer allocates its results in the promoted dtype of its input and its
+params and buffers, so a float32 batch entering a float64 model is promoted
+at the first layer that holds parameters (a Dense or Conv1d's patches),
+and its output, gradients and parameters stay float64. The layer contract:
 
 - forward(x, train=True) caches whatever backward() needs; backward() uses
   the cache of the last train-mode forward.

@@ -167,7 +167,8 @@ class Conv1d(Dense):
             raise ShapeError(f"conv expects (B, T, {self.c_in}), got {x.shape}")
         if x.shape[1] < self.kernel:
             raise ShapeError(f"conv needs T >= {self.kernel}, got T={x.shape[1]}")
-        cols = np.zeros((*x.shape[:2], self.d_in), dtype=x.dtype)  # the zeros are the padding
+        # in the dtype of x @ W; the zeros are the padding
+        cols = np.zeros((*x.shape[:2], self.d_in), dtype=np.result_type(x, self.params["W"]))
         for cols_j, lo, hi, shift in self._taps(x.shape[1]):
             cols[:, lo:hi, cols_j] = x[:, lo + shift : hi + shift]
         return super().forward(cols, train)
@@ -205,7 +206,8 @@ class _Norm(Layer):
     def _normalize(self, x, train):
         """(y, mean, var) by x's own statistics; train mode caches for backward."""
         self._check(x)
-        mean = x.mean(axis=self.axes, keepdims=True)
+        mean = x.mean(axis=self.axes, keepdims=True,
+                      dtype=np.result_type(x, self.params["gamma"]))
         xhat = x - mean  # centred once, then scaled in place
         var = self._mean_of_product(xhat, xhat)
         inv = 1.0 / np.sqrt(var + NORM_EPS)
@@ -423,10 +425,13 @@ class MultiHeadSelfAttention(Layer):
 
     def forward(self, x, train=False):
         q, k, v, attn = self._attend(x)
-        ctx = np.empty(x.shape, dtype=x.dtype)  # heads written straight into their merged layout
+        ctx = np.empty(x.shape, dtype=q.dtype)  # heads written straight into their merged layout
         np.matmul(attn, v, out=self._split(ctx)[0])
         if train:
             self._cache = (x, q, k, v, attn, ctx)
+        # in eval mode this frees q | k | v and the weights before the
+        # output projection allocates
+        del q, k, v, attn
         return _affine(ctx, self.params["Wo"], self.params["bo"])
 
     def backward(self, dy):

@@ -146,6 +146,8 @@ class SyntheticConfig:
         if not (isinstance(offsets, (tuple, list)) and all(map(_finite_real, offsets))):
             raise ConfigError(f"station_offsets_c must be a tuple of finite real numbers, "
                               f"got {offsets!r}")
+        if not isinstance(self.stations, (tuple, list)):
+            raise ConfigError(f"stations must be a tuple of station ids, got {self.stations!r}")
         if len(self.stations) != len(offsets):
             raise ConfigError("one temperature offset per station required")
         for station in self.stations:
@@ -155,6 +157,10 @@ class SyntheticConfig:
         if self.events is None:
             object.__setattr__(
                 self, "events", default_event_schedule(start_date.year, self.years))
+        elif not (isinstance(self.events, (tuple, list))
+                  and all(isinstance(ev, ExtremeEvent) for ev in self.events)):
+            raise ConfigError(f"events must be None or a tuple of ExtremeEvent, "
+                              f"got {self.events!r}")
 
 
 @dataclass

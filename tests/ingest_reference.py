@@ -256,7 +256,8 @@ class Windows:
 def make_windows(frame, standardizer, split):
     if frame.missing.any():
         raise WindowError("frame must be fully imputed before windowing")
-    std_data = standardizer.transform(frame.data)
+    # window inputs are the standardized frame rounded once to float32
+    std_data = standardizer.transform(frame.data).astype(np.float32)
     out = {}
     for tag in ("train", "val", "test"):
         lo, hi = split.range_of(tag)

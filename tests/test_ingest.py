@@ -518,6 +518,14 @@ class TestStandardizer:
         back = std.inverse(std.transform(frame.data))
         assert np.max(np.abs(back - frame.data)) < 1e-10
 
+    def test_demand_in_mw_is_float64_from_float32_windows(self):
+        frame = populated_frame()
+        std = ingest.fit_standardizer(frame, default_split(frame))
+        z = std.standardize_demand(frame.data[:, ingest.DEMAND]).astype(np.float32)
+        mw = std.destandardize_demand(z)
+        assert mw.dtype == np.float64
+        np.testing.assert_array_equal(mw, std.destandardize_demand(z.astype(np.float64)))
+
     def test_calendar_columns_pass_through(self):
         frame = populated_frame()
         std = ingest.fit_standardizer(frame, default_split(frame))
@@ -748,7 +756,7 @@ class TestGapPathsAtFullSize:
 
     def test_every_window_is_its_24_rows_of_the_standardized_frame(self, gappy_year):
         _, frame, _, standardizer, windows = gappy_year
-        std_data = standardizer.transform(frame.data)
+        std_data = standardizer.transform(frame.data).astype(np.float32)
         for ws in windows.values():
             assert ws.std_data.tobytes() == std_data.tobytes()
             rows = ws.starts[:, None] + np.arange(ingest.WINDOW_HOURS)
@@ -787,6 +795,15 @@ class TestWindowMemory:
         assert inputs.shape == (64, ingest.WINDOW_HOURS, ingest.N_FEATURES)
         assert peak <= 2 * inputs.nbytes
         assert inputs.tobytes() == train.inputs[idx].tobytes()
+
+    def test_inputs_are_float32_and_targets_float64(self, gappy_year):
+        _, windows = self.fresh_windows(gappy_year)
+        for ws in windows.values():
+            for inputs in (ws.inputs, ws.slice(slice(3, 9)).inputs):
+                assert inputs.dtype == np.float32
+                assert inputs.nbytes == 4 * len(inputs) * ingest.WINDOW_HOURS * ingest.N_FEATURES
+            assert ws.std_data.dtype == np.float32
+            assert ws.targets_mw.dtype == ws.targets_std.dtype == np.float64
 
     def test_splits_and_slices_share_one_read_only_frame(self, gappy_year):
         frame, windows = self.fresh_windows(gappy_year)

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +482,57 @@ def test_every_leaf_layer_class_is_covered():
               and issubclass(cls, nn.Layer) and cls is not nn.Layer
               and not issubclass(cls, nn.Sequential)}
     assert leaves == set(LEAF_LAYERS)
+
+
+def mixed_dtype_cases():
+    for cls, (make, shape) in LEAF_LAYERS.items():
+        yield pytest.param(make, shape, id=cls.__name__)
+    for branch in ("cnn", "tr"):
+        yield pytest.param(lambda r, b=branch: benchmark_shaped_branches(18)[b], (8, 24, 13),
+                           id=branch)
+
+
+@pytest.mark.parametrize("make, shape", mixed_dtype_cases())
+def test_float32_batch_into_float64_params_follows_numpy_promotion(make, shape):
+    rng = seeded_rng(18, "mixed-dtype")
+    x32 = rng.normal(size=shape).astype(np.float32)
+    runs = []
+    for x in (x32, x32.astype(np.float64)):
+        layer = make(seeded_rng(18, "mixed-dtype-layer"))  # the same layer twice
+        out = layer.forward(x)
+        train_out = layer.forward(x, train=True)
+        layer.zero_grads()
+        dx = layer.backward(seeded_rng(18, "mixed-dtype-dy").normal(size=train_out.shape))
+        runs.append((layer, out, train_out, dx))
+    (layer, out, train_out, dx), (layer64, out64, train_out64, dx64) = runs
+    promoted = np.result_type(x32, *layer.state_tensors().values())
+    assert out.dtype == promoted
+    # a float64 result is the float64-cast batch's; a layer holding no arrays
+    # keeps float32, rounded once more at most
+    for got, want in ((out, out64), (train_out, train_out64)):
+        tol = 1e-12 if got.dtype == np.float64 else 1e-6
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    np.testing.assert_allclose(dx, dx64, rtol=0, atol=1e-12)
+    grads64 = layer64.named_grads()
+    for name, g in layer.named_grads().items():
+        assert g.dtype == np.float64
+        np.testing.assert_allclose(g, grads64[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_eval_attention_frees_its_buffers_before_the_output_projection():
+    b, t, d, heads = 64, 24, 64, 4
+    attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(19, "attention-peak"))
+    x = seeded_rng(19, "attention-peak-x").normal(size=(b, t, d))
+    qkv, ctx, out = 3 * x.nbytes, x.nbytes, x.nbytes
+    weights = t * b * heads * t * x.itemsize
+    tracemalloc.start()
+    try:
+        attn.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # q | k | v and the weights are gone before the output is allocated
+    assert peak < qkv + weights + ctx + out
 
 
 @pytest.mark.parametrize("name, model, shape", [

@@ -7,7 +7,7 @@ results are required to be equal.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -100,14 +100,19 @@ def test_softmax_of_logits_up_to_1e4_is_finite_and_sums_to_one(data, b, t):
 @examples
 @given(b=batches, t=steps, heads=st.sampled_from([1, 2, 4]), d_k=st.integers(1, 4),
        seed=seeds, scale=st.floats(1e-2, 1e1))
+# the context cancels to near zero here, so only the t-term rounding of
+# attn @ v bounds the output's error
+@example(b=1, t=10, heads=1, d_k=1, seed=10, scale=8.75)
 def test_attention_matches_reference(b, t, heads, d_k, seed, scale):
     d = heads * d_k
     attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(seed, "attention"))
     x = scale * np.random.default_rng(seed).normal(size=(b, t, d))
-    out_ref, weights_ref, ctx_ref = ref.attention(x, attn.params, heads)
+    out_ref, weights_ref, _ = ref.attention(x, attn.params, heads)
     weights = attn.attention_weights(x)
-    assert np.all(np.abs(weights - weights_ref) <= weights_bound(x, attn.params, heads, weights_ref))
-    assert np.all(np.abs(attn.forward(x) - out_ref) <= output_bound(attn.params, ctx_ref))
+    w_bound = weights_bound(x, attn.params, heads, weights_ref)
+    assert np.all(np.abs(weights - weights_ref) <= w_bound)
+    out_bound = output_bound(x, attn.params, heads, weights_ref, w_bound)
+    assert np.all(np.abs(attn.forward(x) - out_ref) <= out_bound)
 
 
 def weights_bound(x, params, n_heads, weights_ref):
@@ -130,11 +135,35 @@ def weights_bound(x, params, n_heads, weights_ref):
     return ((t + 2) * EPS + 2 * r) * weights_ref
 
 
-def output_bound(params, ctx_ref):
-    """How far the layer's output may be from the reference's: a dot product
-    of d terms, d roundings of the terms' magnitudes."""
-    d = ctx_ref.shape[2]
-    return 4 * d * EPS * (np.abs(ctx_ref) @ np.abs(params["Wo"]) + np.abs(params["bo"]))
+def output_bound(x, params, n_heads, weights_ref, w_bound):
+    """How far the layer's output may be from the reference's, given that
+    its weights are within w_bound of weights_ref.
+
+    Each of the two computations rounds a sum of n terms to within n * EPS
+    of the sum of the terms' magnitudes; their results differ by twice
+    that. Step by step, with |.| taken elementwise:
+    - v is a d-term projection plus its bias: the two v differ by at most
+      dv = 2 * (d + 1) * EPS * (|x| @ |Wv| + |bv|).
+    - ctx_i = sum_j w_ij v_j runs over t keys: the two roundings differ by
+      2 * t * EPS * sum_j w_ij |v_j|; the weights' deviation adds
+      sum_j w_bound_ij |v_j|, and v's deviation sum_j w_ij dv_j.
+    - The output is a d-term projection of ctx plus bo: ctx's deviation
+      reaches it as dctx @ |Wo|, and the two roundings differ by
+      2 * (d + 1) * EPS * (|ctx| @ |Wo| + |bo|), with |ctx| at most
+      sum_j w_ij |v_j|.
+    One EPS more per sum covers the second-order terms (a rounding of a
+    deviation, the weights' sum off 1 by its own rounding).
+    """
+    p = ref.projections(params)
+    d, t = x.shape[2], x.shape[1]
+    a_v = np.abs(x @ p["Wv"] + p["bv"])
+    dv = 2 * (d + 2) * EPS * (np.abs(x) @ np.abs(p["Wv"]) + np.abs(p["bv"]))
+    abs_ctx = ref.merge_heads(weights_ref @ ref.split_heads(a_v, n_heads))
+    dctx = (2 * (t + 1) * EPS * abs_ctx
+            + ref.merge_heads(w_bound @ ref.split_heads(a_v, n_heads))
+            + ref.merge_heads(weights_ref @ ref.split_heads(dv, n_heads)))
+    return (dctx @ np.abs(p["Wo"])
+            + 2 * (d + 2) * EPS * (abs_ctx @ np.abs(p["Wo"]) + np.abs(p["bo"])))
 
 
 @examples
@@ -146,9 +175,9 @@ def test_attention_windows_never_mix(b, t, heads, d_k, seed, scale):
     d = heads * d_k
     attn = nn.MultiHeadSelfAttention(d, heads, seeded_rng(seed, "attention"))
     x = scale * np.random.default_rng(seed).normal(size=(b, t, d))
-    _, weights_ref, ctx_ref = ref.attention(x, attn.params, heads)
-    out_bound = output_bound(attn.params, ctx_ref)
+    _, weights_ref, _ = ref.attention(x, attn.params, heads)
     w_bound = weights_bound(x, attn.params, heads, weights_ref)
+    out_bound = output_bound(x, attn.params, heads, weights_ref, w_bound)
     out, weights = attn.forward(x), attn.attention_weights(x)
     for j in range(b):
         window = x[j : j + 1]

@@ -223,6 +223,9 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     (dict(seed=-1), "seed"),  # passed, then generate raised numpy's ValueError
     (dict(years=1.5), "years"),  # named start
     (dict(years=True), "years"),  # was accepted
+    (dict(years=1, events=(1,)), "events"),  # generate raised a raw AttributeError
+    (dict(years=1, events="2024-07-10T00:00:00Z"), "events"),
+    (dict(stations=None), "stations"),  # was a raw TypeError from len
 ])
 def test_bad_config_is_a_config_error(overrides, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
