@@ -696,10 +696,8 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
 
-    def transform(self, data, out=None):
-        """(data - mean) / std in float64, written into `out` if given; a
-        float32 `out` holds each float64 result rounded once."""
-        return np.divide(data - self.mean, self.std, out=out)
+    def transform(self, data):
+        return (data - self.mean) / self.std
 
     def inverse(self, data):
         return data * self.std + self.mean
@@ -790,8 +788,7 @@ def make_windows(frame, standardizer, split):
     """
     if np.isnan(frame.data).any():
         raise WindowError("frame must be fully imputed before windowing")
-    std_data = standardizer.transform(
-        frame.data, out=np.empty(frame.data.shape, dtype=np.float32))
+    std_data = standardizer.transform(frame.data).astype(np.float32)
     std_data.flags.writeable = False
     out = {}
     for tag in ("train", "val", "test"):
