@@ -23,10 +23,12 @@ make_windows takes a target only with the 24 rows before it in its segment.
 
 make_windows standardizes the frame once, into one read-only float32 array
 that the three splits' WindowSets share as std_data; a window is the row it
-starts at (starts), not a copy of its rows. WindowSet.inputs gathers the
-(M, 24, 13) float32 copies through a sliding-window view of std_data on
-first use and keeps them, and WindowSet.slice keeps the shared array and
-selects start rows, so a batch's inputs gather only its own windows. The
+starts at (starts), not a copy of its rows. WindowSet.inputs reads the
+(M, 24, 13) windows through a sliding-window view of std_data: windows at
+consecutive start rows, such as a whole split of a gap-free stretch, are a
+read-only slice of that view and copy nothing; any other selection gathers
+a copy on first use and keeps it. WindowSet.slice keeps the shared array
+and selects start rows, so a batch's inputs gather only its own windows. The
 frame, the Standardizer and the targets stay float64: float32 rounds a
 standardized demand value by a few thousandths of a MW, far below the
 synthetic generator's 350 MW demand noise, and halves every gather.
@@ -745,7 +747,8 @@ class WindowSet:
     float32: window m is rows starts[m] .. starts[m] + 23, and its target is
     the row after them. std_data is read-only and shared by the three splits
     of one make_windows call and by every slice of them; no window's rows
-    are copied until `inputs` is read. Targets are float64 and retained both
+    are copied until `inputs` is read, and not even then when the starts are
+    consecutive. Targets are float64 and retained both
     standardized (targets_std) and in MW (targets_mw); target_air_temp_c is
     the raw station-mean temperature at the target hour for the envelope
     penalty.
@@ -764,11 +767,15 @@ class WindowSet:
 
     @functools.cached_property
     def inputs(self):
-        """(M, 24, 13) C-contiguous float32 copy of every window's rows,
-        gathered on first use through one sliding-window view of std_data
-        and kept."""
-        blocks = sliding_window_view(self.std_data, (WINDOW_HOURS, N_FEATURES))
-        return blocks[self.starts, 0]
+        """(M, 24, 13) float32 windows, read through one sliding-window view
+        of std_data. Consecutive starts give a read-only slice of that view,
+        whose windows overlap in std_data's memory; any other selection
+        gives a C-contiguous copy, gathered on first use and kept."""
+        blocks = sliding_window_view(self.std_data, (WINDOW_HOURS, N_FEATURES))[:, 0]
+        starts = self.starts
+        if starts.size and (np.diff(starts) == 1).all():
+            return blocks[starts[0]:starts[0] + starts.size]
+        return blocks[starts]
 
     def slice(self, sel):
         """The windows `sel` selects, over the same std_data; their inputs
@@ -784,7 +791,9 @@ def make_windows(frame, standardizer, split):
     Windows never cross split boundaries or hourly gaps. All three splits
     share one read-only standardized copy of the frame, in float32: each
     value is standardizer.transform's float64 result rounded once, and no
-    float64 copy is kept. Raises WindowError if any split produces no window.
+    float64 copy is kept. A split whose targets are consecutive rows, as
+    every split of a gap-free stretch is, reads its inputs as a view of that
+    copy. Raises WindowError if any split produces no window.
     """
     if np.isnan(frame.data).any():
         raise WindowError("frame must be fully imputed before windowing")

@@ -16,6 +16,11 @@ and its output, gradients and parameters stay float64. The layer contract:
   model shared with evaluation, without changing any result.
 - A layer writes only to arrays it allocated, never to its input or its
   upstream gradient; further arithmetic runs in place on its own output.
+  An input may therefore be a read-only strided view whose rows overlap in
+  memory, as a whole split's WindowSet.inputs is, and gives the same bits
+  as its contiguous copy.
+- A train-mode cache holds no more than backward needs: Dropout keeps its
+  keep-mask as bool, one byte an element, and rescales its output in place.
 - Trainable arrays live in `params` (gradients in `grads`); non-trainable
   arrays, BatchNorm running statistics and the positional table, live in
   `buffers`, and those that change are updated in place.

@@ -10,6 +10,7 @@ formats do not guarantee.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -32,7 +33,7 @@ def save_checkpoint(path, tensors, meta=None):
     blobs = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        arr = np.asarray(tensors[name], dtype="<f8")  # tobytes writes C order
         raw = arr.tobytes()
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(raw)
@@ -49,11 +50,31 @@ def save_checkpoint(path, tensors, meta=None):
         fh.write(blob)
 
 
+def _tensor_sizes(path, entries):
+    """Byte size of each (name, shape, offset) directory entry, checked
+    against what save_checkpoint writes: unique str names, shapes that are
+    lists of non-negative ints, and each offset the bytes before it."""
+    sizes, names, offset = [], set(), 0
+    for name, shape, at in entries:
+        if not isinstance(name, str) or name in names:
+            raise ArtifactError(f"{path}: tensor name {name!r} is not a unique string")
+        names.add(name)
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ArtifactError(
+                f"{path}: tensor {name!r} has shape {shape!r}, not a list of non-negative ints")
+        if type(at) is not int or at != offset:
+            raise ArtifactError(f"{path}: tensor {name!r} is at offset {at!r}, not {offset}")
+        sizes.append(8 * math.prod(shape))
+        offset += sizes[-1]
+    return sizes
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns ({name: array}, meta).
 
     Raises ArtifactError, naming the path, on a wrong magic line, an
-    unreadable header, tensor data of the wrong length or a checksum
+    unreadable header, a directory entry save_checkpoint would not write
+    (naming the tensor), tensor data of the wrong length or a checksum
     mismatch over the header's directory and meta and the tensor data.
     """
     with open(path, "rb") as fh:
@@ -65,17 +86,17 @@ def load_checkpoint(path):
     try:
         header = json.loads(header_line.decode("ascii"))
         directory, meta, digest = header["tensors"], header["meta"], header["sha256"]
-        sizes = [8 * int(np.prod(entry["shape"])) for entry in directory]
+        entries = [(entry["name"], entry["shape"], entry["offset"]) for entry in directory]
     except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: unreadable checkpoint header ({exc})") from None
+    sizes = _tensor_sizes(path, entries)
     if len(blob) != sum(sizes):
         raise ArtifactError(
             f"{path}: tensor data is {len(blob)} bytes, the header implies {sum(sizes)}")
     if _digest(directory, meta, blob) != digest:
         raise ArtifactError(f"{path}: header or tensor data fails its SHA-256 check")
     tensors = {}
-    for entry in directory:
-        shape = tuple(entry["shape"])
-        arr = np.frombuffer(blob, dtype="<f8", count=int(np.prod(shape)), offset=entry["offset"])
-        tensors[entry["name"]] = arr.reshape(shape).copy()
+    for (name, shape, offset), size in zip(entries, sizes):
+        arr = np.frombuffer(blob, dtype="<f8", count=size // 8, offset=offset)
+        tensors[name] = arr.reshape(tuple(shape)).copy()
     return tensors, meta

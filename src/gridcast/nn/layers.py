@@ -303,7 +303,12 @@ class GlobalAvgPool(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train mode masks and rescales by 1/(1-rate)."""
+    """Inverted dropout: train mode masks and rescales by 1/(1-rate).
+
+    The cached keep-mask is bool, one byte an element; forward and backward
+    multiply by it and then rescale in place, which gives the same bits as
+    multiplying by the float mask (u < keep) / keep, signed zeros included.
+    """
 
     def __init__(self, rate, rng):
         super().__init__()
@@ -315,12 +320,18 @@ class Dropout(Layer):
     def forward(self, x, train=False):
         if not train:
             return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep if self.rate else None
-        return x if self._mask is None else x * self._mask
+        self._mask = self.rng.random(x.shape) < 1.0 - self.rate if self.rate else None
+        return self._masked(x)
 
     def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        return self._masked(dy)
+
+    def _masked(self, a):
+        if self._mask is None:
+            return a
+        out = np.multiply(a, self._mask)
+        out *= 1.0 / (1.0 - self.rate)
+        return out
 
 
 def positional_encoding(t, d_model):

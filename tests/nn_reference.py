@@ -8,8 +8,9 @@ and backward with `x.var`, the row softmax and attention context with a
 merging copy, attention's backward with one gradient per projection,
 BatchNorm1d in train mode with `x.var` and the `n * dxhat - ...` backward,
 BatchNorm1d in inference mode with gamma applied after the scale, the Dense
-affine map, Conv1d as im2col (`np.pad` plus a sliding view), and MaxPool1d
-by `argmax` over each pair and `put_along_axis`. The property tests in
+affine map, Conv1d as im2col (`np.pad` plus a sliding view), MaxPool1d
+by `argmax` over each pair and `put_along_axis`, and Dropout by a float64
+mask. The property tests in
 test_nn_properties.py hold the layers to them.
 """
 
@@ -180,3 +181,10 @@ def max_pool_backward(dy, argmax, t):
     dpairs = dx[:, : 2 * half].reshape(b, half, 2, c)
     np.put_along_axis(dpairs, argmax[:, :, None, :], dy[:, :, None, :], axis=2)
     return dx
+
+
+def dropout(a, u, rate):
+    """Inverted dropout of a (an input or its upstream gradient) by the float
+    mask (u < keep) / keep, for the layer's uniform draws u."""
+    keep = 1.0 - rate
+    return a * ((u < keep) / keep)

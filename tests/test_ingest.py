@@ -809,11 +809,40 @@ class TestWindowMemory:
         frame, windows = self.fresh_windows(gappy_year)
         std_data = windows["train"].std_data
         assert std_data.shape == frame.data.shape
-        shared = list(windows.values()) + [ws.slice(slice(3, 9)) for ws in windows.values()]
+        shared = list(windows.values()) + [ws.slice(s) for ws in windows.values()
+                                           for s in (slice(3, 9), np.array([7, 2, 5]))]
         assert all(np.shares_memory(ws.std_data, std_data) for ws in shared)
         with pytest.raises(ValueError):
             std_data[0, 0] = 1.0
+        views = 0
         for ws in shared:
-            assert ws.inputs is ws.inputs  # gathered once, then kept
-            assert ws.inputs.flags["C_CONTIGUOUS"]
-            assert not np.shares_memory(ws.inputs, std_data)
+            assert ws.inputs is ws.inputs  # read once, then kept
+            if (np.diff(ws.starts) == 1).all():  # consecutive starts: a view
+                assert not ws.inputs.flags.writeable
+                assert np.shares_memory(ws.inputs, std_data)
+                views += 1
+            else:  # any other selection: a gathered copy
+                assert ws.inputs.flags["C_CONTIGUOUS"]
+                assert not np.shares_memory(ws.inputs, std_data)
+        # the long gap splits train; val, test and the 3:9 slices are views
+        assert views == 5
+
+    def test_an_empty_selection_has_no_windows(self, gappy_year):
+        _, windows = self.fresh_windows(gappy_year)
+        inputs = windows["test"].slice(np.array([], int)).inputs
+        assert inputs.shape == (0, ingest.WINDOW_HOURS, ingest.N_FEATURES)
+        assert inputs.dtype == np.float32
+
+    def test_a_gap_free_split_copies_no_window(self, gappy_year):
+        _, windows = self.fresh_windows(gappy_year)
+        test = windows["test"]
+        assert (np.diff(test.starts) == 1).all()
+        tracemalloc.start()
+        try:
+            inputs = test.inputs
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated < 0.01 * inputs.nbytes
+        rows = test.starts[:, None] + np.arange(ingest.WINDOW_HOURS)
+        assert inputs.tobytes() == test.std_data[rows].tobytes()

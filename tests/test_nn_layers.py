@@ -412,6 +412,24 @@ def test_batch_predictions_match_row_by_row(branch):
     np.testing.assert_allclose(model.forward(x), rows, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("branch", ["cnn", "tr"])
+def test_an_overlapping_window_view_gives_the_bits_of_its_copy(branch):
+    # a whole split's inputs: a read-only sliding-window view of one frame
+    frame = seeded_rng(20, "window-view").normal(size=(100, 13)).astype(np.float32)
+    frame.flags.writeable = False
+    view = np.lib.stride_tricks.sliding_window_view(frame, (24, 13))[:, 0][5:5 + 64]
+    dy = seeded_rng(20, "window-view-dy").normal(size=(64, 1))
+    runs = []
+    for x in (view, np.ascontiguousarray(view)):
+        model = benchmark_shaped_branches(20)[branch]
+        out = model.forward(x)
+        train_out = model.forward(x, train=True)
+        model.zero_grads()
+        dx = model.backward(dy)
+        runs.append([a.tobytes() for a in (out, train_out, dx, *model.named_grads().values())])
+    assert runs[0] == runs[1]
+
+
 def as_float32(model):
     """Cast a model's params and buffers to float32."""
     for _, layer in model.walk():

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gridcast import nn
 from gridcast.errors import ArtifactError, ConfigError
+from gridcast.nn import checkpoint
 from gridcast.seeding import seeded_rng
 
 
@@ -61,6 +63,7 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path):
     assert meta2 == meta
     assert set(loaded) == set(tensors)
     for k in tensors:
+        assert loaded[k].shape == tensors[k].shape
         np.testing.assert_array_equal(loaded[k], tensors[k])
 
 
@@ -95,7 +98,8 @@ def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
 
 
 def test_checkpoint_rejects_swapped_offsets(tmp_path):
-    # same shapes, so the damaged directory still matches the blob length
+    # same shapes, so the damaged directory still matches the blob length;
+    # the offsets are checked before the digest, naming the first tensor
     path = tmp_path / "swap.ckpt"
     nn.save_checkpoint(path, {"a": np.zeros(3), "b": np.ones(3)})
     magic, header, blob = path.read_bytes().split(b"\n", 2)
@@ -104,7 +108,7 @@ def test_checkpoint_rejects_swapped_offsets(tmp_path):
     a["offset"], b["offset"] = b["offset"], a["offset"]
     header = json.dumps(fields, sort_keys=True, ensure_ascii=True).encode("ascii")
     path.write_bytes(b"\n".join([magic, header, blob]))
-    with pytest.raises(ArtifactError, match="swap.ckpt.*SHA-256"):
+    with pytest.raises(ArtifactError, match="swap.ckpt.*'a' is at offset 24, not 0"):
         nn.load_checkpoint(path)
 
 
@@ -113,4 +117,37 @@ def test_checkpoint_rejects_undecodable_header(tmp_path):
     magic_end = len(b"GRIDCAST-CKPT-1\n")
     path.write_bytes(raw[:magic_end] + b"\xff{not json\n" + raw[raw.index(b"\n", magic_end) + 1:])
     with pytest.raises(ArtifactError, match="good.ckpt.*header"):
+        nn.load_checkpoint(path)
+
+
+def rewrite_directory(path, edit):
+    """Apply `edit` to a checkpoint's tensor directory and re-sign the
+    header, so only the directory check can reject the file."""
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    edit(fields["tensors"])
+    fields["sha256"] = checkpoint._digest(fields["tensors"], fields["meta"], blob)
+    header = json.dumps(fields, sort_keys=True, ensure_ascii=True).encode("ascii")
+    path.write_bytes(b"\n".join([magic, header, blob]))
+
+
+def set_field(i, key, value):
+    def edit(directory):
+        directory[i][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    # a zero-size tensor keeps the blob length whatever its other dimension
+    pytest.param(set_field(0, "shape", [-3, 0]), "'a' has shape", id="negative-dimension"),
+    pytest.param(set_field(1, "shape", [3.0]), "'b' has shape", id="float-dimension"),
+    pytest.param(set_field(2, "offset", 0), "'c' is at offset 0, not 24", id="repeated-offset"),
+    pytest.param(set_field(1, "name", "a"), "name 'a' is not a unique", id="repeated-name"),
+    pytest.param(set_field(1, "name", 7), "name 7 is not a unique", id="non-string-name"),
+])
+def test_checkpoint_rejects_a_directory_save_would_not_write(tmp_path, edit, match):
+    path = tmp_path / "dir.ckpt"
+    nn.save_checkpoint(path, {"a": np.zeros((0, 3)), "b": np.ones(3), "c": np.arange(3.0)})
+    rewrite_directory(path, edit)
+    with pytest.raises(ArtifactError, match=f"dir.ckpt.*{re.escape(match)}"):
         nn.load_checkpoint(path)

@@ -361,3 +361,20 @@ def test_max_pool_matches_argmax_reference(data, b, t, c, seed):
     # a losing element gets dy * 0, which is -0.0 where dy < 0: equal by value to
     # the reference's 0.0
     np.testing.assert_array_equal(pool.backward(dy), ref.max_pool_backward(dy, argmax, t))
+
+
+@examples
+@given(data=st.data(), b=batches, t=steps, c=st.integers(1, 8), seed=seeds,
+       rate=st.floats(0.01, 0.99))
+def test_dropout_matches_float_mask_reference(data, b, t, c, seed, rate):
+    # signed zeros and infinities among the values: masked, they must keep
+    # the float mask's signs and NaNs
+    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0, np.inf, -np.inf]))
+    x, dy = (data.draw(arrays(np.float64, (b, t, c), elements=values), label=name)
+             for name in ("x", "dy"))
+    drop = nn.Dropout(rate, np.random.default_rng(seed))
+    u = np.random.default_rng(seed).random(x.shape)  # the layer's draws
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert drop.forward(x, train=True).tobytes() == ref.dropout(x, u, rate).tobytes()
+        assert drop.backward(dy).tobytes() == ref.dropout(dy, u, rate).tobytes()
+    assert drop._mask.dtype == np.bool_
