@@ -97,18 +97,47 @@ def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
         nn.load_checkpoint(path)
 
 
-def test_checkpoint_rejects_swapped_offsets(tmp_path):
-    # same shapes, so the damaged directory still matches the blob length;
-    # the offsets are checked before the digest, naming the first tensor
-    path = tmp_path / "swap.ckpt"
-    nn.save_checkpoint(path, {"a": np.zeros(3), "b": np.ones(3)})
+def rewrite_header(path, edit, sign):
+    """Apply `edit` to a checkpoint's parsed header. With `sign` the header
+    is re-signed, so only the directory check can reject the file."""
     magic, header, blob = path.read_bytes().split(b"\n", 2)
     fields = json.loads(header)
-    a, b = fields["tensors"]
-    a["offset"], b["offset"] = b["offset"], a["offset"]
+    edit(fields)
+    if sign:
+        fields["sha256"] = checkpoint._digest(fields["tensors"], fields["meta"], blob)
     header = json.dumps(fields, sort_keys=True, ensure_ascii=True).encode("ascii")
     path.write_bytes(b"\n".join([magic, header, blob]))
-    with pytest.raises(ArtifactError, match="swap.ckpt.*'a' is at offset 24, not 0"):
+
+
+def set_field(i, key, value):
+    def edit(fields):
+        fields["tensors"][i][key] = value
+    return edit
+
+
+def swap_field(i, j, key):
+    def edit(fields):
+        a, b = fields["tensors"][i], fields["tensors"][j]
+        a[key], b[key] = b[key], a[key]
+    return edit
+
+
+def set_meta(key, value):
+    def edit(fields):
+        fields["meta"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    # same shapes, so the swapped directory passes every structural check
+    pytest.param(swap_field(0, 1, "name"), id="swapped-names"),
+    pytest.param(set_meta("epoch", 4), id="edited-meta"),
+])
+def test_checkpoint_digest_covers_directory_and_meta(tmp_path, edit):
+    path = tmp_path / "swap.ckpt"
+    nn.save_checkpoint(path, {"a": np.zeros(3), "b": np.ones(3)}, meta={"epoch": 3})
+    rewrite_header(path, edit, sign=False)
+    with pytest.raises(ArtifactError, match="swap.ckpt.*SHA-256"):
         nn.load_checkpoint(path)
 
 
@@ -120,34 +149,18 @@ def test_checkpoint_rejects_undecodable_header(tmp_path):
         nn.load_checkpoint(path)
 
 
-def rewrite_directory(path, edit):
-    """Apply `edit` to a checkpoint's tensor directory and re-sign the
-    header, so only the directory check can reject the file."""
-    magic, header, blob = path.read_bytes().split(b"\n", 2)
-    fields = json.loads(header)
-    edit(fields["tensors"])
-    fields["sha256"] = checkpoint._digest(fields["tensors"], fields["meta"], blob)
-    header = json.dumps(fields, sort_keys=True, ensure_ascii=True).encode("ascii")
-    path.write_bytes(b"\n".join([magic, header, blob]))
-
-
-def set_field(i, key, value):
-    def edit(directory):
-        directory[i][key] = value
-    return edit
-
-
 @pytest.mark.parametrize("edit, match", [
     # a zero-size tensor keeps the blob length whatever its other dimension
     pytest.param(set_field(0, "shape", [-3, 0]), "'a' has shape", id="negative-dimension"),
     pytest.param(set_field(1, "shape", [3.0]), "'b' has shape", id="float-dimension"),
     pytest.param(set_field(2, "offset", 0), "'c' is at offset 0, not 24", id="repeated-offset"),
+    pytest.param(swap_field(1, 2, "offset"), "'b' is at offset 24, not 0", id="swapped-offsets"),
     pytest.param(set_field(1, "name", "a"), "name 'a' is not a unique", id="repeated-name"),
     pytest.param(set_field(1, "name", 7), "name 7 is not a unique", id="non-string-name"),
 ])
 def test_checkpoint_rejects_a_directory_save_would_not_write(tmp_path, edit, match):
     path = tmp_path / "dir.ckpt"
     nn.save_checkpoint(path, {"a": np.zeros((0, 3)), "b": np.ones(3), "c": np.arange(3.0)})
-    rewrite_directory(path, edit)
+    rewrite_header(path, edit, sign=True)
     with pytest.raises(ArtifactError, match=f"dir.ckpt.*{re.escape(match)}"):
         nn.load_checkpoint(path)
