@@ -701,9 +701,6 @@ class Standardizer:
     def transform(self, data):
         return (data - self.mean) / self.std
 
-    def inverse(self, data):
-        return data * self.std + self.mean
-
     def standardize_demand(self, mw):
         return (mw - self.mean[DEMAND]) / self.std[DEMAND]
 
@@ -760,7 +757,6 @@ class WindowSet:
     targets_std: np.ndarray
     target_timestamps: np.ndarray
     target_air_temp_c: np.ndarray
-    split_tag: str
 
     def __len__(self):
         return self.starts.size
@@ -782,7 +778,7 @@ class WindowSet:
         gather only their own rows."""
         return WindowSet(
             self.std_data, self.starts[sel], self.targets_mw[sel], self.targets_std[sel],
-            self.target_timestamps[sel], self.target_air_temp_c[sel], self.split_tag)
+            self.target_timestamps[sel], self.target_air_temp_c[sel])
 
 
 def make_windows(frame, standardizer, split):
@@ -814,7 +810,6 @@ def make_windows(frame, standardizer, split):
             targets_std=standardizer.standardize_demand(frame.data[targets_idx, DEMAND]),
             target_timestamps=frame.timestamps[targets_idx].copy(),
             target_air_temp_c=frame.data[targets_idx, AIR_TEMP].copy(),
-            split_tag=tag,
         )
     return out
 

@@ -25,9 +25,10 @@ def _uniform_init(rng, shape, fan_in):
 
 
 def _check_sizes(**sizes):
-    """Raise ConfigError naming the first size that is not a positive integer."""
+    """Raise ConfigError naming the first size that is not a positive integer;
+    a bool is not one."""
     for name, n in sizes.items():
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigError(f"{name} must be a positive integer, got {n!r}")
 
 
@@ -312,7 +313,7 @@ class Dropout(Layer):
 
     def __init__(self, rate, rng):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
+        if isinstance(rate, bool) or not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.rng = rng

@@ -18,11 +18,12 @@ class Adam:
     _v: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+        if any(isinstance(b, bool) or not 0.0 <= b < 1.0 for b in (self.beta1, self.beta2)):
             raise ConfigError("betas must lie in [0, 1)")
         for name in ("lr", "eps"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
     def step(self, params, grads):
         """One update: params[k] -= lr * m_hat / (sqrt(v_hat) + eps)."""

@@ -180,10 +180,11 @@ class PhysicsLossConfig:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
-            if not 0 <= getattr(self, name) < np.inf:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 <= value < np.inf:
                 raise ConfigError(f"penalty weight {name} must be finite and >= 0, "
-                                  f"got {getattr(self, name)}")
-        if not 0 < self.delta_max_mw < np.inf:
+                                  f"got {value}")
+        if isinstance(self.delta_max_mw, bool) or not 0 < self.delta_max_mw < np.inf:
             raise ConfigError(f"delta_max_mw must be finite and > 0, got {self.delta_max_mw}")
 
 

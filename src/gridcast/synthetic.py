@@ -8,15 +8,21 @@ tail-regime behavior is constructible and exactly testable. At each hour
 the one strongest event (the earlier-scheduled one on a tie) sets the event
 weight, the temperature offset and both multipliers.
 
+A SyntheticConfig sets what one dataset varies: its start date, its length
+in years, its seed, its extreme events and the share of weather cells
+dropped. The climate, the station set and the demand terms are module
+constants: one climate and one grid, as the source data has.
+
 Everything is deterministic per seed; emitting the same config twice yields
-byte-identical files, all of which gridcast.ingest writes.
+byte-identical files, all of which gridcast.ingest writes. The manifest's
+config rebuilds the dataset it sits beside.
 """
 
 import datetime as dt
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +40,18 @@ T_AR = 0.95
 DIURNAL_PEAK_HOUR = 17.0
 DEMAND_CLIP_MW = (29_360.0, 85_435.0)
 WIND_BASE_MS = 4.0
+# the temperature process: one AR(1) noise shared by the stations, then each
+# station's offset from it and its own jitter
+T_NOISE_C = 1.6
+STATIONS = ("BKS", "JDD", "TME")
+STATION_OFFSETS_C = (-0.8, 0.2, 0.9)
+STATION_NOISE_C = 0.25
+# demand terms added to the envelope
+DIURNAL_AMP_MW = 2500.0
+WEEKEND_DIP_MW = 1800.0
+HOLIDAY_DIP_MW = 1200.0
+WIND_COUPLING_MW = 150.0
+NOISE_STD_MW = 350.0
 
 
 @dataclass(frozen=True)
@@ -44,7 +62,9 @@ class ExtremeEvent:
     down over ramp_h hours; duration_h counts the plateau. Where it is the
     strongest event, weight w adds w * temp_offset_c to the temperature and
     scales wind and precipitation by 1 + (mult - 1) * w. start is read by
-    the CSV timestamp rule (ingest.parse_timestamp), exact hours included.
+    the CSV timestamp rule (ingest.parse_timestamp), exact hours included,
+    and kept as the text ingest.format_timestamp writes; every value is
+    kept as its builtin type, which the manifest's json.dumps writes.
     """
 
     start: str
@@ -58,17 +78,22 @@ class ExtremeEvent:
         start = self.start_time  # a bad start raises ConfigError here
         if start != start.astype("datetime64[h]"):
             raise ConfigError(f"ExtremeEvent.start: {self.start!r} is not on an exact hour")
+        object.__setattr__(self, "start", ingest.format_timestamp(start))
         for name in ("duration_h", "ramp_h"):
             hours = getattr(self, name)
-            if not (isinstance(hours, (int, np.integer)) and hours >= 0):
+            if isinstance(hours, bool) or not (isinstance(hours, (int, np.integer))
+                                               and hours >= 0):
                 raise ConfigError(f"ExtremeEvent.{name} must be a whole number of hours "
                                   f">= 0, got {hours!r}")
-        if not np.isfinite(self.temp_offset_c):
+            object.__setattr__(self, name, int(hours))
+        if isinstance(self.temp_offset_c, bool) or not np.isfinite(self.temp_offset_c):
             raise ConfigError(f"ExtremeEvent.temp_offset_c must be finite, got {self.temp_offset_c!r}")
         for name in ("wind_mult", "precip_mult"):
             mult = getattr(self, name)
-            if not (np.isfinite(mult) and mult >= 0):
+            if isinstance(mult, bool) or not (np.isfinite(mult) and mult >= 0):
                 raise ConfigError(f"ExtremeEvent.{name} must be finite and >= 0, got {mult!r}")
+        for name in ("temp_offset_c", "wind_mult", "precip_mult"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def start_time(self):
@@ -90,35 +115,17 @@ def default_event_schedule(start_year, years):
     return tuple(events)
 
 
-# SyntheticConfig's scalar float fields; a noise scale must also be >= 0
-_DEMAND_TERMS = ("diurnal_amp_mw", "weekend_dip_mw", "holiday_dip_mw", "wind_coupling_mw")
-_NOISE_SCALES = ("t_noise_c", "station_noise_c", "noise_std_mw")
-
-
-def _finite_real(value):
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """What one dataset varies. Each value is kept as its builtin type, which
+    the manifest's json.dumps writes; `stations` reads the constant STATIONS."""
+
     start: str = "2024-01-01"
     years: int = 2
     seed: int = 0
-    # temperature process
-    t_noise_c: float = 1.6
-    station_offsets_c: tuple = (-0.8, 0.2, 0.9)
-    station_noise_c: float = 0.25
-    # demand terms
-    diurnal_amp_mw: float = 2500.0
-    weekend_dip_mw: float = 1800.0
-    holiday_dip_mw: float = 1200.0
-    wind_coupling_mw: float = 150.0
-    noise_std_mw: float = 350.0
-    # weather extras
     events: tuple = None  # None -> default_event_schedule
     missing_rate: float = 0.0
-    stations: tuple = ("BKS", "JDD", "TME")
+    stations: ClassVar[tuple] = STATIONS
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("years", 1)):
@@ -126,6 +133,7 @@ class SyntheticConfig:
             if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
                                                and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         try:
             start_date = dt.date.fromisoformat(self.start)
             start_date.replace(year=start_date.year + self.years)  # generate's end date
@@ -134,26 +142,10 @@ class SyntheticConfig:
         if start_date is None or start_date.isoformat() != self.start:
             raise ConfigError(f"start must be an ISO date (YYYY-MM-DD) whose day exists "
                               f"{self.years} years later too, got {self.start!r}")
-        for name in (*_DEMAND_TERMS, *_NOISE_SCALES):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
-            if name in _NOISE_SCALES and value < 0:
-                raise ConfigError(f"{name} must be >= 0 (a noise scale), got {value!r}")
-        if not (isinstance(self.missing_rate, numbers.Real) and 0.0 <= self.missing_rate < 1.0):
-            raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
-        offsets = self.station_offsets_c
-        if not (isinstance(offsets, (tuple, list)) and all(map(_finite_real, offsets))):
-            raise ConfigError(f"station_offsets_c must be a tuple of finite real numbers, "
-                              f"got {offsets!r}")
-        if not isinstance(self.stations, (tuple, list)):
-            raise ConfigError(f"stations must be a tuple of station ids, got {self.stations!r}")
-        if len(self.stations) != len(offsets):
-            raise ConfigError("one temperature offset per station required")
-        for station in self.stations:
-            ingest.check_station_id(station)
-        if len(set(self.stations)) != len(self.stations):
-            raise ConfigError(f"stations: {self.stations!r} repeats a station id")
+        rate = self.missing_rate
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate < 1.0):
+            raise ConfigError(f"missing_rate must be in [0, 1), got {rate!r}")
+        object.__setattr__(self, "missing_rate", float(rate))
         if self.events is None:
             object.__setattr__(
                 self, "events", default_event_schedule(start_date.year, self.years))
@@ -247,14 +239,14 @@ def generate(config):
     rng_t = seeded_rng(config.seed, "synthetic", "temperature")
     seasonal = -T_SEASONAL_AMP_C * np.cos(2 * np.pi * (doy - 15) / 365.25)
     diurnal_t = T_DIURNAL_AMP_C * np.sin(2 * np.pi * (hour - 9) / 24.0)
-    noise_t = _ar1(rng_t, n, T_AR, config.t_noise_c)
+    noise_t = _ar1(rng_t, n, T_AR, T_NOISE_C)
     weight, signed_offset, wind_mult, precip_mult = _strongest_event(timestamps, config.events)
     base_temp = T_MEAN_C + seasonal + diurnal_t + noise_t + signed_offset
 
     rng_st = seeded_rng(config.seed, "synthetic", "stations")
     station_temps = {}
-    for name, offset in zip(config.stations, config.station_offsets_c):
-        jitter = rng_st.normal(0.0, config.station_noise_c, size=n)
+    for name, offset in zip(STATIONS, STATION_OFFSETS_C):
+        jitter = rng_st.normal(0.0, STATION_NOISE_C, size=n)
         station_temps[name] = base_temp + offset + jitter
     mean_temp = np.mean(list(station_temps.values()), axis=0)
 
@@ -266,16 +258,16 @@ def generate(config):
     precip = np.clip(precip, 0.0, 48.6)
 
     rng_d = seeded_rng(config.seed, "synthetic", "demand")
-    diurnal_d = config.diurnal_amp_mw * np.sin(
+    diurnal_d = DIURNAL_AMP_MW * np.sin(
         2 * np.pi * (hour - (DIURNAL_PEAK_HOUR - 6.0)) / 24.0)
     chill_factor = np.maximum(0.0, 10.0 - mean_temp) / 10.0
     demand = (
         envelope_demand(REFERENCE_ENVELOPE, mean_temp)
         + diurnal_d
-        - config.weekend_dip_mw * weekend
-        - config.holiday_dip_mw * is_holiday
-        + config.wind_coupling_mw * wind * chill_factor
-        + rng_d.normal(0.0, config.noise_std_mw, size=n)
+        - WEEKEND_DIP_MW * weekend
+        - HOLIDAY_DIP_MW * is_holiday
+        + WIND_COUPLING_MW * wind * chill_factor
+        + rng_d.normal(0.0, NOISE_STD_MW, size=n)
     )
     lo, hi = DEMAND_CLIP_MW
     n_clipped = int(np.sum((demand < lo) | (demand > hi)))
@@ -283,7 +275,7 @@ def generate(config):
 
     station_weather = {}
     rng_m = seeded_rng(config.seed, "synthetic", "missing")
-    for name in config.stations:
+    for name in STATIONS:
         temp_s = station_temps[name]
         vals = np.column_stack([
             temp_s,
@@ -323,9 +315,9 @@ def write_dataset(config, out_dir):
 
     weather_path = out_dir / "weather.csv"
     ingest.write_weather_csv(weather_path, ingest.WeatherTable(
-        np.repeat(np.array(config.stations), data.timestamps.size),
-        np.tile(data.timestamps, len(config.stations)),
-        np.concatenate([data.station_weather[name] for name in config.stations])))
+        np.repeat(np.array(STATIONS), data.timestamps.size),
+        np.tile(data.timestamps, len(STATIONS)),
+        np.concatenate([data.station_weather[name] for name in STATIONS])))
 
     holiday_path = out_dir / "holidays.txt"
     ingest.write_holiday_file(holiday_path, data.holidays)

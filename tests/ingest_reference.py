@@ -250,7 +250,6 @@ class Windows:
     targets_std: np.ndarray
     target_timestamps: np.ndarray
     target_air_temp_c: np.ndarray
-    split_tag: str
 
 
 def make_windows(frame, standardizer, split):
@@ -278,6 +277,5 @@ def make_windows(frame, standardizer, split):
             targets_std=standardizer.standardize_demand(frame.data[targets_idx, DEMAND]),
             target_timestamps=frame.timestamps[targets_idx].copy(),
             target_air_temp_c=frame.data[targets_idx, AIR_TEMP].copy(),
-            split_tag=tag,
         )
     return out

@@ -244,6 +244,12 @@ def test_attention_divisibility_error():
     (nn.PositionalEncodingAdd, (-1, 4), "t"),
     (nn.PositionalEncodingAdd, (0, 4), "t"),  # was accepted
     (nn.PositionalEncodingAdd, (24, 0), "d_model"),
+    # a bool was taken as 1, or failed in numpy with a raw TypeError
+    (nn.Conv1d, (3, 4, True), "kernel"),
+    (nn.MultiHeadSelfAttention, (4, True), "n_heads"),
+    (nn.Dense, (True, 4), "d_in"),
+    (nn.LayerNorm, (True,), "width"),
+    (nn.positional_encoding, (True, 4), "t"),
 ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_constructors_reject_non_positive_sizes_naming_them(cls, sizes, name):
     rng = [seeded_rng(0, "sizes")] if "rng" in inspect.signature(cls).parameters else []
@@ -282,6 +288,8 @@ def test_dropout_modes():
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ConfigError):
         nn.Dropout(1.0, seeded_rng(0, "x"))
+    with pytest.raises(ConfigError, match="dropout rate"):
+        nn.Dropout(False, seeded_rng(0, "x"))  # was taken as 0
 
 
 def test_batchnorm_infer_uses_running_stats():

@@ -42,6 +42,8 @@ def test_bad_betas_rejected():
         (dict(beta1=1.0), "betas"),
         # these three were accepted
         (dict(lr=float("nan")), "lr"), (dict(lr=-1.0), "lr"), (dict(eps=0.0), "eps"),
+        # a bool was taken as 1 or 0
+        (dict(lr=True), "lr"), (dict(eps=True), "eps"), (dict(beta2=False), "betas"),
     ]:
         with pytest.raises(ConfigError, match=f"^{name} must"):
             nn.Adam(**setting)

@@ -8,27 +8,31 @@ from gridcast import ingest, physics, synthetic
 from gridcast.errors import ConfigError
 
 
-def noiseless_config(**overrides):
-    base = dict(
-        years=1,
-        seed=3,
-        t_noise_c=0.0,
-        station_noise_c=0.0,
-        station_offsets_c=(0.0, 0.0, 0.0),
-        diurnal_amp_mw=0.0,
-        weekend_dip_mw=0.0,
-        holiday_dip_mw=0.0,
-        wind_coupling_mw=0.0,
-        noise_std_mw=0.0,
-        events=(),
-    )
-    base.update(overrides)
-    return synthetic.SyntheticConfig(**base)
+def assert_same_files(dir_a, dir_b):
+    for name in ("load.csv", "weather.csv", "holidays.txt", "manifest.json"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
-def test_weekend_and_holiday_dips_follow_the_ingest_calendar():
+@pytest.fixture
+def noiseless_config(monkeypatch):
+    """Zero every demand term, so demand is the envelope at the station-mean
+    temperature; returns a builder of one-year configs without events. The
+    tests recompute that mean from the station columns, so temperature noise
+    and station offsets leave the oracle exact."""
+    for name in ("DIURNAL_AMP_MW", "WEEKEND_DIP_MW", "HOLIDAY_DIP_MW",
+                 "WIND_COUPLING_MW", "NOISE_STD_MW"):
+        monkeypatch.setattr(synthetic, name, 0.0)
+
+    def config(**overrides):
+        return synthetic.SyntheticConfig(**{"years": 1, "seed": 3, "events": (), **overrides})
+    return config
+
+
+def test_weekend_and_holiday_dips_follow_the_ingest_calendar(noiseless_config, monkeypatch):
     # 2026-07-04 is a Saturday, so both dips also fall on one day
-    cfg = noiseless_config(start="2026-01-01", weekend_dip_mw=1800.0, holiday_dip_mw=1200.0)
+    monkeypatch.setattr(synthetic, "WEEKEND_DIP_MW", 1800.0)
+    monkeypatch.setattr(synthetic, "HOLIDAY_DIP_MW", 1200.0)
+    cfg = noiseless_config(start="2026-01-01")
     data = synthetic.generate(cfg)
     frame = ingest.encode_calendar(
         ingest.AlignedFrame(data.timestamps,
@@ -45,7 +49,7 @@ def test_weekend_and_holiday_dips_follow_the_ingest_calendar():
                                (-1800.0 * weekend - 1200.0 * holiday)[~clipped], atol=1e-9)
 
 
-def test_zero_noise_demand_sits_exactly_on_the_envelope():
+def test_zero_noise_demand_sits_exactly_on_the_envelope(noiseless_config):
     cfg = noiseless_config()
     data = synthetic.generate(cfg)
     mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
@@ -55,7 +59,7 @@ def test_zero_noise_demand_sits_exactly_on_the_envelope():
     np.testing.assert_allclose(data.demand_mw[~clipped], expected[~clipped], atol=1e-9)
 
 
-def test_envelope_refit_recovers_generating_coefficients():
+def test_envelope_refit_recovers_generating_coefficients(noiseless_config):
     cfg = noiseless_config()
     data = synthetic.generate(cfg)
     mean_temp = np.mean([v[:, 0] for v in data.station_weather.values()], axis=0)
@@ -69,8 +73,7 @@ def test_same_seed_twice_gives_byte_identical_csvs(tmp_path):
     m1 = synthetic.write_dataset(cfg, tmp_path / "a")
     m2 = synthetic.write_dataset(cfg, tmp_path / "b")
     assert m1 == m2
-    for name in ("load.csv", "weather.csv", "holidays.txt", "manifest.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert_same_files(tmp_path / "a", tmp_path / "b")
 
 
 def test_different_seeds_differ(tmp_path):
@@ -149,7 +152,7 @@ def test_nested_event_keeps_the_outer_plateau():
         np.testing.assert_array_equal(got, want)
 
 
-def test_heat_spell_scales_precipitation_down():
+def test_heat_spell_scales_precipitation_down(noiseless_config):
     # precip_mult < 1 applies as 1 + (precip_mult - 1) * weight, like any other
     heat = synthetic.default_event_schedule(2024, 1)[1]
     assert heat.precip_mult < 1.0
@@ -183,10 +186,12 @@ def test_event_start_outside_the_csv_timestamp_rule_is_a_config_error(start):
 
 @pytest.mark.parametrize("field, hours", [
     ("duration_h", -1), ("duration_h", 2.5), ("ramp_h", -1), ("ramp_h", 1.5),
+    ("duration_h", True), ("ramp_h", False),  # were taken as 1 and 0
     # values that write files ingest rejects, or that are silently clipped
     ("temp_offset_c", float("nan")), ("temp_offset_c", float("inf")),
     ("wind_mult", -3.0), ("wind_mult", float("nan")),
     ("precip_mult", -1.0), ("precip_mult", float("inf")),
+    ("temp_offset_c", True), ("wind_mult", False),  # were taken as 1.0 and 0.0
 ])
 def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     # ramp_h = -1 divides by zero in the profile; a fraction would be cut to an int
@@ -200,21 +205,6 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     (dict(start="2024-1-1"), "start"),
     (dict(start="2024-01-01T00:00:00"), "start"),
     (dict(start="2024-02-29", years=1), "start"),  # no 2025-02-29 to end on
-    (dict(noise_std_mw=-1.0), "noise_std_mw"),
-    (dict(t_noise_c=-0.1), "t_noise_c"),
-    (dict(station_noise_c=-1e-9), "station_noise_c"),
-    # accepted, then the writer failed naming a row instead of the field
-    (dict(diurnal_amp_mw=float("inf")), "diurnal_amp_mw"),
-    (dict(t_noise_c=float("nan")), "t_noise_c"),
-    (dict(weekend_dip_mw=float("-inf")), "weekend_dip_mw"),
-    (dict(holiday_dip_mw=float("nan")), "holiday_dip_mw"),
-    (dict(wind_coupling_mw=np.float64("inf")), "wind_coupling_mw"),
-    (dict(noise_std_mw="a"), "noise_std_mw"),  # was a raw TypeError
-    (dict(station_noise_c=None), "station_noise_c"),
-    (dict(diurnal_amp_mw=True), "diurnal_amp_mw"),
-    (dict(station_offsets_c=(0.0, float("nan"), 0.0)), "station_offsets_c"),
-    (dict(station_offsets_c=(0.0, "1", 0.0)), "station_offsets_c"),
-    (dict(station_offsets_c=None), "station_offsets_c"),  # was a raw TypeError from len
     (dict(missing_rate=1.5), "missing_rate"),
     (dict(missing_rate=1.0), "missing_rate"),
     (dict(missing_rate=-0.5), "missing_rate"),
@@ -225,23 +215,41 @@ def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     (dict(years=True), "years"),  # was accepted
     (dict(years=1, events=(1,)), "events"),  # generate raised a raw AttributeError
     (dict(years=1, events="2024-07-10T00:00:00Z"), "events"),
-    (dict(stations=None), "stations"),  # was a raw TypeError from len
+    (dict(missing_rate=False), "missing_rate"),  # was taken as 0
 ])
 def test_bad_config_is_a_config_error(overrides, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
         synthetic.SyntheticConfig(**overrides)
 
 
-@pytest.mark.parametrize("stations", [
-    ("", "JDD", "TME"),
-    (" BKS", "JDD", "TME"),  # ingest would strip it and average the other two
-    ("BKS\t", "JDD", "TME"),
-    ("A,B", "JDD", "TME"),
-    ('A"B', "JDD", "TME"),
-    ("A\rB", "JDD", "TME"),
-    ("A\nB", "JDD", "TME"),
-    ("BKS", "JDD", "BKS"),
-], ids=repr)
-def test_station_id_the_csv_format_cannot_hold_is_a_config_error(stations):
-    with pytest.raises(ConfigError, match="stations"):
-        synthetic.SyntheticConfig(stations=stations)
+@pytest.mark.parametrize("numpy_typed, builtin", [
+    (dict(seed=np.int64(5)), dict(seed=5)),
+    (dict(years=np.int32(1)), dict(years=1)),
+    (dict(missing_rate=np.float32(0.25)), dict(missing_rate=0.25)),
+    (dict(events=(synthetic.ExtremeEvent(np.datetime64("2024-03-01T06"), np.int64(10),
+                                         np.float32(-8.5), ramp_h=np.uint8(2)),)),
+     dict(events=(synthetic.ExtremeEvent("2024-03-01T06:00:00Z", 10, -8.5, ramp_h=2),))),
+], ids=["seed", "years", "missing_rate", "event"])
+def test_numpy_typed_config_writes_the_files_of_its_builtin_twin(tmp_path, numpy_typed, builtin):
+    # json.dumps raised a raw TypeError on the manifest after the three data
+    # files were written
+    base = dict(years=1, seed=9)
+    synthetic.write_dataset(synthetic.SyntheticConfig(**{**base, **numpy_typed}), tmp_path / "np")
+    synthetic.write_dataset(synthetic.SyntheticConfig(**{**base, **builtin}), tmp_path / "py")
+    assert_same_files(tmp_path / "np", tmp_path / "py")
+
+
+@pytest.mark.parametrize("config", [
+    synthetic.SyntheticConfig(years=1, seed=0, missing_rate=0.1),
+    synthetic.SyntheticConfig(years=1, seed=101, missing_rate=0.1),
+    synthetic.SyntheticConfig(start="2025-01-01", years=1, seed=4, events=(
+        synthetic.ExtremeEvent("2025-02-03T12:00:00Z", 30, -9.0, wind_mult=1.8,
+                               precip_mult=0.5, ramp_h=5),)),
+], ids=["default-events-seed0", "default-events-seed101", "custom-event"])
+def test_manifest_config_rebuilds_its_dataset(tmp_path, config):
+    synthetic.write_dataset(config, tmp_path / "first")
+    saved = json.loads((tmp_path / "first" / "manifest.json").read_text())["config"]
+    events = tuple(synthetic.ExtremeEvent(**event) for event in saved["events"])
+    rebuilt = synthetic.SyntheticConfig(**{**saved, "events": events})
+    synthetic.write_dataset(rebuilt, tmp_path / "again")
+    assert_same_files(tmp_path / "first", tmp_path / "again")
