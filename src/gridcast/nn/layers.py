@@ -9,6 +9,8 @@ Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
 """
 
+import numbers
+
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
@@ -313,8 +315,8 @@ class Dropout(Layer):
 
     def __init__(self, rate, rng):
         super().__init__()
-        if isinstance(rate, bool) or not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate < 1.0):
+            raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
         self.rate = rate
         self.rng = rng
 

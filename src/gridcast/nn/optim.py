@@ -1,5 +1,6 @@
 """Adam with bias correction, operating on named parameter dicts in place."""
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,13 @@ class Adam:
     _v: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if any(isinstance(b, bool) or not 0.0 <= b < 1.0 for b in (self.beta1, self.beta2)):
+        if any(isinstance(b, bool) or not (isinstance(b, numbers.Real) and 0.0 <= b < 1.0)
+               for b in (self.beta1, self.beta2)):
             raise ConfigError("betas must lie in [0, 1)")
         for name in ("lr", "eps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0.0 < value < np.inf:
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0.0 < value < np.inf):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
     def step(self, params, grads):

@@ -7,6 +7,7 @@ Both penalties are squared hinges, so they are C^1 and their gradient at the
 hinge boundary is exactly zero.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,11 +182,13 @@ class PhysicsLossConfig:
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0 <= value < np.inf:
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 <= value < np.inf):
                 raise ConfigError(f"penalty weight {name} must be finite and >= 0, "
                                   f"got {value}")
-        if isinstance(self.delta_max_mw, bool) or not 0 < self.delta_max_mw < np.inf:
-            raise ConfigError(f"delta_max_mw must be finite and > 0, got {self.delta_max_mw}")
+        delta = self.delta_max_mw
+        if isinstance(delta, bool) or not (isinstance(delta, numbers.Real) and 0 < delta < np.inf):
+            raise ConfigError(f"delta_max_mw must be finite and > 0, got {delta!r}")
 
 
 def _squared_hinge(d, eps):

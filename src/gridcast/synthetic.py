@@ -86,14 +86,14 @@ class ExtremeEvent:
                 raise ConfigError(f"ExtremeEvent.{name} must be a whole number of hours "
                                   f">= 0, got {hours!r}")
             object.__setattr__(self, name, int(hours))
-        if isinstance(self.temp_offset_c, bool) or not np.isfinite(self.temp_offset_c):
-            raise ConfigError(f"ExtremeEvent.temp_offset_c must be finite, got {self.temp_offset_c!r}")
-        for name in ("wind_mult", "precip_mult"):
-            mult = getattr(self, name)
-            if isinstance(mult, bool) or not (np.isfinite(mult) and mult >= 0):
-                raise ConfigError(f"ExtremeEvent.{name} must be finite and >= 0, got {mult!r}")
         for name in ("temp_offset_c", "wind_mult", "precip_mult"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and np.isfinite(value)):
+                raise ConfigError(f"ExtremeEvent.{name} must be finite, got {value!r}")
+            if name != "temp_offset_c" and value < 0:
+                raise ConfigError(f"ExtremeEvent.{name} must be >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def start_time(self):

@@ -292,6 +292,14 @@ def test_dropout_rejects_bad_rate():
         nn.Dropout(False, seeded_rng(0, "x"))  # was taken as 0
 
 
+@pytest.mark.parametrize("rate", [np.False_, "0.1", None], ids=repr)
+def test_dropout_rate_that_is_not_a_number_is_a_config_error(rate):
+    # numpy's bool is no bool subclass and was taken as 0; a non-number
+    # raised a raw TypeError from the comparison
+    with pytest.raises(ConfigError, match="dropout rate"):
+        nn.Dropout(rate, seeded_rng(0, "x"))
+
+
 def test_batchnorm_infer_uses_running_stats():
     rng = seeded_rng(8, "bn-running")
     bn = nn.BatchNorm1d(2)

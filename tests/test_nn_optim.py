@@ -44,6 +44,10 @@ def test_bad_betas_rejected():
         (dict(lr=float("nan")), "lr"), (dict(lr=-1.0), "lr"), (dict(eps=0.0), "eps"),
         # a bool was taken as 1 or 0
         (dict(lr=True), "lr"), (dict(eps=True), "eps"), (dict(beta2=False), "betas"),
+        # numpy's bool is no bool subclass and was taken as 1 or 0
+        (dict(lr=np.True_), "lr"), (dict(beta1=np.False_), "betas"),
+        # a non-number raised a raw TypeError from the comparison
+        (dict(lr="a"), "lr"), (dict(eps=None), "eps"), (dict(beta2="0.9"), "betas"),
     ]:
         with pytest.raises(ConfigError, match=f"^{name} must"):
             nn.Adam(**setting)

@@ -381,8 +381,9 @@ def test_loss_config_validation():
         physics.PhysicsLossConfig(lambda1=-0.1)
     with pytest.raises(ConfigError):
         physics.PhysicsLossConfig(delta_max_mw=0.0)
-    # NaN and inf were accepted, and a bool was taken as 1
+    # NaN and inf were accepted, a bool or numpy bool was taken as 1, and a
+    # non-number raised a raw TypeError from the comparison
     for name in ("lambda1", "lambda2", "delta_max_mw"):
-        for value in (np.nan, np.inf, True):
+        for value in (np.nan, np.inf, True, np.True_, "1", None):
             with pytest.raises(ConfigError, match=name):
                 physics.PhysicsLossConfig(**{name: value})

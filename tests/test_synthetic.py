@@ -192,6 +192,10 @@ def test_event_start_outside_the_csv_timestamp_rule_is_a_config_error(start):
     ("wind_mult", -3.0), ("wind_mult", float("nan")),
     ("precip_mult", -1.0), ("precip_mult", float("inf")),
     ("temp_offset_c", True), ("wind_mult", False),  # were taken as 1.0 and 0.0
+    # numpy's bool is no bool subclass; these were taken as 1.0 and 0.0
+    ("temp_offset_c", np.True_), ("wind_mult", np.False_), ("precip_mult", np.True_),
+    # non-numbers raised numpy's raw TypeError from isfinite
+    ("temp_offset_c", "a"), ("temp_offset_c", None), ("wind_mult", None), ("precip_mult", "x"),
 ])
 def test_event_span_that_is_not_whole_hours_is_a_config_error(field, hours):
     # ramp_h = -1 divides by zero in the profile; a fraction would be cut to an int
