@@ -9,7 +9,7 @@ Subpackages and modules:
                the band/ramp penalties with analytic gradients
 - nn           numpy layers with manual backprop, Adam, checkpoints
 - synthetic    envelope-driven synthetic dataset generator
-- errors       the GridcastError hierarchy raised at input boundaries
+- errors       the GridcastError hierarchy and the shared checks of settings
 - seeding      per-purpose random streams derived from one seed
 """
 

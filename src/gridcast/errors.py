@@ -1,4 +1,11 @@
-"""Exception types raised across the gridcast pipeline."""
+"""Exception types raised across the gridcast pipeline, and the one rule for
+numeric settings. check_int and check_real take a real number (an integer
+where it counts), not a bool or numpy bool, finite and in range, and return
+it as the builtin int or float each config stores; a bad value raises the
+caller's error class, naming the field."""
+
+import math
+import numbers
 
 
 class GridcastError(Exception):
@@ -49,3 +56,25 @@ class ShapeError(GridcastError):
 
 class ArtifactError(GridcastError):
     """Unreadable, truncated or corrupted artifact file, such as a checkpoint."""
+
+
+def check_int(name, value, least, error=ConfigError):
+    """int(value) if value is an integer >= least; raises error naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise error(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def check_real(name, value, lo=-math.inf, hi=math.inf, lo_open=False, error=ConfigError):
+    """float(value) if value is a finite real in [lo, hi), or (lo, hi) when
+    lo_open; raises error naming name. An int beyond float range fails."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond float range
+        x = math.nan
+    if not (math.isfinite(x) and (lo < x if lo_open else lo <= x) and x < hi):
+        span = f"{'(' if lo_open or lo == -math.inf else '['}{lo:g}, {hi:g})"
+        raise error(f"{name} must be a finite real in {span}, got {value!r}")
+    return x

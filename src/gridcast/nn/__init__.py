@@ -37,8 +37,8 @@ and its output, gradients and parameters stay float64. The layer contract:
   tap-major, and one softmax: attention writes its scores into a key-major
   (T_k, B, n_heads, T_q) buffer and normalizes it over axis 0;
   attention_weights returns the (B, n_heads, T_q, T_k) view of that buffer.
-- A constructor raises ConfigError, naming the argument, for a size that
-  is not a positive integer.
+- A constructor checks its sizes and rates by the number rule of
+  gridcast.errors (check_int, check_real): ConfigError names the argument.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,
   for an input of the wrong rank or width.
 """

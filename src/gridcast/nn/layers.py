@@ -9,11 +9,9 @@ Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
 """
 
-import numbers
-
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, ShapeError, check_int, check_real
 
 # NORM_EPS keeps a constant channel or row finite; BatchNorm1d keeps
 # BN_MOMENTUM of its running statistics at each train step.
@@ -27,11 +25,8 @@ def _uniform_init(rng, shape, fan_in):
 
 
 def _check_sizes(**sizes):
-    """Raise ConfigError naming the first size that is not a positive integer;
-    a bool is not one."""
-    for name, n in sizes.items():
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {n!r}")
+    """Each size as an int; ConfigError names one that is not a positive integer."""
+    return [check_int(name, n, 1) for name, n in sizes.items()]
 
 
 def _affine(x, w, b):
@@ -113,7 +108,7 @@ class Dense(Layer):
 
     def __init__(self, d_in, d_out, rng):
         super().__init__()
-        _check_sizes(d_in=d_in, d_out=d_out)
+        d_in, d_out = _check_sizes(d_in=d_in, d_out=d_out)
         self.d_in, self.d_out = d_in, d_out
         self.params = {
             "W": _uniform_init(rng, (d_in, d_out), d_in),
@@ -151,7 +146,7 @@ class Conv1d(Dense):
     """
 
     def __init__(self, c_in, c_out, kernel, rng):
-        _check_sizes(c_in=c_in, c_out=c_out, kernel=kernel)
+        c_in, c_out, kernel = _check_sizes(c_in=c_in, c_out=c_out, kernel=kernel)
         if kernel % 2 != 1:
             raise ConfigError("same-padding conv requires an odd kernel")
         super().__init__(kernel * c_in, c_out, rng)
@@ -191,7 +186,7 @@ class _Norm(Layer):
 
     def __init__(self, width):
         super().__init__()
-        _check_sizes(width=width)
+        [width] = _check_sizes(width=width)
         self.width = width
         self.params = {"gamma": np.ones(width), "beta": np.zeros(width)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -315,9 +310,7 @@ class Dropout(Layer):
 
     def __init__(self, rate, rng):
         super().__init__()
-        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate < 1.0):
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
-        self.rate = rate
+        self.rate = check_real("dropout rate", rate, 0.0, 1.0)
         self.rng = rng
 
     def forward(self, x, train=False):
@@ -342,7 +335,7 @@ def positional_encoding(t, d_model):
 
     Even columns carry sin(pos / 10000^(2i/d)), odd columns the matching cos.
     """
-    _check_sizes(t=t, d_model=d_model)
+    t, d_model = _check_sizes(t=t, d_model=d_model)
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs even d_model, got {d_model}")
     pos = np.arange(t)[:, None]
@@ -397,7 +390,7 @@ class MultiHeadSelfAttention(Layer):
 
     def __init__(self, d_model, n_heads, rng):
         super().__init__()
-        _check_sizes(d_model=d_model, n_heads=n_heads)
+        d_model, n_heads = _check_sizes(d_model=d_model, n_heads=n_heads)
         if d_model % n_heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.d_model = d_model

@@ -1,11 +1,10 @@
 """Adam with bias correction, operating on named parameter dicts in place."""
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import check_real
 
 
 @dataclass
@@ -14,19 +13,15 @@ class Adam:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    step_count: int = 0
-    _m: dict = field(default_factory=dict, repr=False)
-    _v: dict = field(default_factory=dict, repr=False)
+    step_count: int = field(default=0, init=False)
+    _m: dict = field(default_factory=dict, init=False, repr=False)
+    _v: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if any(isinstance(b, bool) or not (isinstance(b, numbers.Real) and 0.0 <= b < 1.0)
-               for b in (self.beta1, self.beta2)):
-            raise ConfigError("betas must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            setattr(self, name, check_real("betas", getattr(self, name), 0.0, 1.0))
         for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0.0 < value < np.inf):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+            setattr(self, name, check_real(name, getattr(self, name), 0.0, lo_open=True))
 
     def step(self, params, grads):
         """One update: params[k] -= lr * m_hat / (sqrt(v_hat) + eps)."""

@@ -7,12 +7,12 @@ Both penalties are squared hinges, so they are C^1 and their gradient at the
 hinge boundary is exactly zero.
 """
 
-import numbers
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, check_real
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,10 @@ class ParabolicEnvelope:
     t0_c: float
 
     def __post_init__(self):
-        if not (self.a1 > 0 and self.a2 > 0):
-            raise CalibrationError(
-                f"envelope segments must be convex: a1={self.a1}, a2={self.a2}"
-            )
-        if not np.isfinite(self.t0_c):
-            raise CalibrationError(f"breakpoint must be finite, got {self.t0_c}")
+        for f in fields(self):
+            lo = 0.0 if f.name in ("a1", "a2") else -math.inf  # convex segments
+            object.__setattr__(self, f.name, check_real(
+                f.name, getattr(self, f.name), lo, lo_open=True, error=CalibrationError))
 
 
 # Pre-calibrated for the ERCOT footprint; the reference envelope for synthetic
@@ -116,10 +114,15 @@ class ToleranceModel:
     sigma_mw: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.bin_edges_c)):
-            raise CalibrationError("tolerance bin edges must be finite")
-        if not (np.all(np.isfinite(self.sigma_mw)) and np.all(self.sigma_mw >= SIGMA_FLOOR_MW)):
-            raise CalibrationError(f"sigma must be finite and >= {SIGMA_FLOOR_MW} MW everywhere")
+        edges, sigma = self.bin_edges_c, self.sigma_mw
+        if not (np.ndim(edges) == 1 and np.size(edges) >= 2 and np.all(np.isfinite(edges))
+                and np.all(np.diff(edges) > 0)):
+            raise CalibrationError(f"bin_edges_c must be finite, strictly increasing and "
+                                   f"1-D with >= 2 edges, got {edges!r}")
+        if np.shape(sigma) != (np.size(edges) - 1,):
+            raise CalibrationError(f"sigma_mw must hold one value per bin, got {np.shape(sigma)}")
+        if not (np.all(np.isfinite(sigma)) and np.all(sigma >= SIGMA_FLOOR_MW)):
+            raise CalibrationError(f"sigma_mw must be finite and >= {SIGMA_FLOOR_MW} MW")
 
     def _bin_index(self, t_c):
         idx = np.searchsorted(self.bin_edges_c, t_c, side="right") - 1
@@ -180,15 +183,9 @@ class PhysicsLossConfig:
     delta_max_mw: float = 4800.0
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0 <= value < np.inf):
-                raise ConfigError(f"penalty weight {name} must be finite and >= 0, "
-                                  f"got {value}")
-        delta = self.delta_max_mw
-        if isinstance(delta, bool) or not (isinstance(delta, numbers.Real) and 0 < delta < np.inf):
-            raise ConfigError(f"delta_max_mw must be finite and > 0, got {delta!r}")
+        for name in ("lambda1", "lambda2", "delta_max_mw"):
+            object.__setattr__(self, name, check_real(
+                name, getattr(self, name), 0.0, lo_open=name == "delta_max_mw"))
 
 
 def _squared_hinge(d, eps):

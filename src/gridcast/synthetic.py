@@ -20,14 +20,14 @@ config rebuilds the dataset it sits beside.
 
 import datetime as dt
 import json
-import numbers
+import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from . import ingest
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .physics import REFERENCE_ENVELOPE, envelope_demand
 from .seeding import seeded_rng
 
@@ -80,20 +80,11 @@ class ExtremeEvent:
             raise ConfigError(f"ExtremeEvent.start: {self.start!r} is not on an exact hour")
         object.__setattr__(self, "start", ingest.format_timestamp(start))
         for name in ("duration_h", "ramp_h"):
-            hours = getattr(self, name)
-            if isinstance(hours, bool) or not (isinstance(hours, (int, np.integer))
-                                               and hours >= 0):
-                raise ConfigError(f"ExtremeEvent.{name} must be a whole number of hours "
-                                  f">= 0, got {hours!r}")
-            object.__setattr__(self, name, int(hours))
-        for name in ("temp_offset_c", "wind_mult", "precip_mult"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and np.isfinite(value)):
-                raise ConfigError(f"ExtremeEvent.{name} must be finite, got {value!r}")
-            if name != "temp_offset_c" and value < 0:
-                raise ConfigError(f"ExtremeEvent.{name} must be >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            hours = check_int(f"ExtremeEvent.{name}", getattr(self, name), 0)
+            object.__setattr__(self, name, hours)
+        for name, lo in (("temp_offset_c", -math.inf), ("wind_mult", 0.0), ("precip_mult", 0.0)):
+            value = check_real(f"ExtremeEvent.{name}", getattr(self, name), lo)
+            object.__setattr__(self, name, value)
 
     @property
     def start_time(self):
@@ -129,11 +120,7 @@ class SyntheticConfig:
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("years", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
-                                               and value >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         try:
             start_date = dt.date.fromisoformat(self.start)
             start_date.replace(year=start_date.year + self.years)  # generate's end date
@@ -142,10 +129,8 @@ class SyntheticConfig:
         if start_date is None or start_date.isoformat() != self.start:
             raise ConfigError(f"start must be an ISO date (YYYY-MM-DD) whose day exists "
                               f"{self.years} years later too, got {self.start!r}")
-        rate = self.missing_rate
-        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate < 1.0):
-            raise ConfigError(f"missing_rate must be in [0, 1), got {rate!r}")
-        object.__setattr__(self, "missing_rate", float(rate))
+        rate = check_real("missing_rate", self.missing_rate, 0.0, 1.0)
+        object.__setattr__(self, "missing_rate", rate)
         if self.events is None:
             object.__setattr__(
                 self, "events", default_event_schedule(start_date.year, self.years))

@@ -16,9 +16,6 @@ import ingest_reference as ref
 from gridcast import ingest, synthetic
 from gridcast.errors import ConfigError, CsvParseError, OrderingError
 
-settings.register_profile("ingest", max_examples=60, deadline=None)
-settings.load_profile("ingest")
-
 T0 = np.datetime64("2024-03-09T00:00:00", "s")
 STATIONS = ("BKS", "JDD", "TME")
 # (lo, hi) of the values written for each weather value field
