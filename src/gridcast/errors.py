@@ -58,11 +58,25 @@ class ArtifactError(GridcastError):
     """Unreadable, truncated or corrupted artifact file, such as a checkpoint."""
 
 
+def _shown(value):
+    """repr(value) for an error message; an int too long for repr (over
+    sys.get_int_max_str_digits() digits) is shown by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        # a lower bound on the digits, then counted up exactly
+        digits = math.floor((size.bit_length() - 1) * math.log10(2))
+        while 10**digits <= size:
+            digits += 1
+        return f"an int of {digits} digits"
+
+
 def check_int(name, value, least, error=ConfigError):
     """int(value) if value is an integer >= least; raises error naming name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         kind = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise error(f"{name} must be {kind}, got {value!r}")
+        raise error(f"{name} must be {kind}, got {_shown(value)}")
     return int(value)
 
 
@@ -76,5 +90,5 @@ def check_real(name, value, lo=-math.inf, hi=math.inf, lo_open=False, error=Conf
         x = math.nan
     if not (math.isfinite(x) and (lo < x if lo_open else lo <= x) and x < hi):
         span = f"{'(' if lo_open or lo == -math.inf else '['}{lo:g}, {hi:g})"
-        raise error(f"{name} must be a finite real in {span}, got {value!r}")
+        raise error(f"{name} must be a finite real in {span}, got {_shown(value)}")
     return x

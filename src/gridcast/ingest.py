@@ -3,7 +3,8 @@
 Stages (each pure, composable):
 
     parse_load_csv / parse_weather_csv  ->  columnar record tables
-    align_hourly                        ->  hourly frame, station-averaged
+    align_hourly                        ->  hourly frame, station-averaged,
+                                            one weather column at a time
     impute_linear                       ->  small interior gaps filled
     encode_calendar                     ->  hour/day-of-week/month/flags
     add_lag_feature                     ->  24-hour-lagged demand column
@@ -68,13 +69,21 @@ synthetic event starts take the timestamp rule through parse_timestamp.
 The CSV parsers are columnar. They read _BLOCK_ROWS lines at a time, check
 each line's comma count, join the block into one string and split it once
 on commas and newlines; column j is then every width-th field from field j.
-Each column is converted in one pass. Every check is a mask over the block,
-and its first set row names the line in the error; only when a conversion
-raises is that column scanned field by field for the first bad one. Checks
-run column by column, so in a file with several faults the one reported is
-the first row failing the first check that fails, not always the first
-faulty row. Weather (station, timestamp) duplicates are found after the
-last block with one stable lexsort.
+Each column is converted in one pass, into its rows of one result array
+sized before the first block by counting the file's line ends. One block is
+alive at a time: its line list, text and field list are dropped as soon as
+the next form is built, and its columns before the next block is read, so
+a parser holds its table and one block, however many blocks the file has.
+The station column widens when a block holds a longer id than any before.
+align_hourly then sums one weather column at a time, so no ingest stage
+builds a record x field array.
+
+Every check is a mask over the block, and its first set row names the line
+in the error; only when a conversion raises is that column scanned field by
+field for the first bad one. Checks run column by column, so in a file with
+several faults the one reported is the first row failing the first check
+that fails, not always the first faulty row. Weather (station, timestamp)
+duplicates are found after the last block with one stable lexsort.
 """
 
 import datetime as dt
@@ -132,8 +141,10 @@ WINDOW_HOURS = 24
 # one would cut across the diurnal cycle.
 MAX_GAP_HOURS = 6
 
-# The CSV readers and writers handle this many rows at a time: enough to keep
-# per-block overhead small, few enough that a block's field strings stay a few MB.
+# The CSV readers and writers handle this many rows at a time. Above its
+# table a reader holds one block, about 630 bytes a weather row: 5.1 MB here.
+# 2048 and 4096 rows held less but, through glibc's allocation history, made
+# the benchmark's later inference ops slower (ROADMAP, known defects).
 _BLOCK_ROWS = 8192
 # The longest CSV field the readers accept, the csv module's default limit.
 _MAX_FIELD_CHARS = 131_072
@@ -192,18 +203,39 @@ def _not_utf8(text):
     return False
 
 
+def _row_bound(raw):
+    """At least the number of data rows in the binary CSV file `raw`, and
+    exactly that when no line is blank: its line ends (\n, \r and \r\n
+    alike, as the readers take them) less the header's, counted 64 KiB at a
+    time. A \r\n that a chunk boundary cuts counts twice."""
+    ends, last = 0, b""
+    for chunk in iter(functools.partial(raw.read, 1 << 16), b""):
+        # numpy counts a byte several times faster than bytes.count
+        ends += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        if b"\r" in chunk:
+            ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+        last = chunk[-1:]
+    return ends - (last in (b"\n", b"\r"))  # a last line without an end counts too
+
+
 def _read_columns(path, header, kind):
-    """Yield (lines, columns) for each block of up to _BLOCK_ROWS data rows.
+    """Yield an upper bound on the data rows (_row_bound), then (lines,
+    columns) for each block of up to _BLOCK_ROWS data rows.
 
     Blank lines are skipped; `lines` holds the line number of each row kept,
     and `columns` one list of field strings per header column. Rejects a
     header other than `header`, and rows holding a byte that is not UTF-8
     or a '"', of the wrong width, or with a field over _MAX_FIELD_CHARS.
+    Only the block being read is held: its line list is dropped once joined,
+    its text and field list once the columns are sliced, and the caller
+    drops the columns before asking for the next block.
     """
     width = len(header)
     # surrogateescape keeps a byte that is not UTF-8 as a lone surrogate, so
     # the block check below reports it with its line
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        yield _row_bound(fh.buffer)
+        fh.seek(0)
         found = next(fh, "").removesuffix("\n").split(",")
         if found != header:
             raise CsvParseError(f"unknown {kind} header {found!r}, expected {header}")
@@ -219,25 +251,34 @@ def _read_columns(path, header, kind):
                 lines = lines[kept]
                 if not block:
                     continue
-            text = "".join(block)
-            if not text.isascii():
-                _reject(np.array([_not_utf8(row) for row in block]), lines,
-                        lambda i: "bytes that are not UTF-8")
-            if '"' in text:
-                _reject(np.array(['"' in row for row in block]), lines,
-                        lambda i: "a '\"' in a row; CSV fields are never quoted")
             commas = np.fromiter(map(str.count, block, itertools.repeat(",")),
                                  dtype=np.intp, count=len(block))
+            longest = max(map(len, block))
+            text = "".join(block)
+            del block
+            # the rare checks below take the rows back from the text: every
+            # line ends in \n and holds no other one
+            if not text.isascii():
+                _reject(np.array([_not_utf8(row) for row in text.split("\n")[:-1]]),
+                        lines, lambda i: "bytes that are not UTF-8")
+            if '"' in text:
+                _reject(np.array(['"' in row for row in text.split("\n")[:-1]]), lines,
+                        lambda i: "a '\"' in a row; CSV fields are never quoted")
             _reject(commas != width - 1, lines,
                     lambda i: f"expected {width} fields, got {commas[i] + 1}")
-            if max(map(len, block)) > _MAX_FIELD_CHARS:  # no field can be longer
-                _reject(np.array([max(map(len, row[:-1].split(","))) > _MAX_FIELD_CHARS
-                                  for row in block]), lines,
+            if longest > _MAX_FIELD_CHARS:  # no field can be longer
+                _reject(np.array([max(map(len, row.split(","))) > _MAX_FIELD_CHARS
+                                  for row in text.split("\n")[:-1]]), lines,
                         lambda i: f"a field longer than {_MAX_FIELD_CHARS} characters")
-            # every line ends in \n: one split on commas and newlines leaves
-            # width fields per row and an empty one after the last
-            fields = text.replace("\n", ",").split(",")
-            yield lines, tuple(fields[j:-1:width] for j in range(width))
+            # with newlines made commas, one split leaves width fields per
+            # row and an empty one after the last
+            text = text.replace("\n", ",")
+            fields = text.split(",")
+            del text
+            columns = tuple(fields[j:-1:width] for j in range(width))
+            del fields
+            yield lines, columns
+            del columns
 
 
 def _reject(bad, lines, message):
@@ -431,46 +472,57 @@ def write_weather_csv(path, weather):
 def parse_load_csv(path):
     """Read the demand CSV; rejects unknown headers, bad rows, and
     non-increasing or duplicate timestamps."""
-    stamps, demands = [], []
-    for lines, (ts_texts, mw_texts) in _read_columns(path, LOAD_HEADER, "load"):
-        stamps.append(_timestamps(ts_texts, lines))
-        mw = _convert(lambda texts: np.array(list(map(float, texts))),
-                      mw_texts, lines, "demand value")
-        _check_demand(mw, lines)
-        demands.append(mw)
-    if not stamps:
+    blocks = _read_columns(path, LOAD_HEADER, "load")
+    size = next(blocks)
+    ts = np.empty(size, dtype="datetime64[s]")
+    demand = np.empty(size)
+    n = 0
+    for lines, columns in blocks:
+        rows = slice(n, n + lines.size)
+        ts[rows] = _timestamps(columns[0], lines)
+        demand[rows] = _convert(lambda texts: np.array(list(map(float, texts))),
+                                columns[1], lines, "demand value")
+        _check_demand(demand[rows], lines)
+        n = rows.stop
+        del columns  # before the next block is read
+    if not n:
         raise CsvParseError("load file has no data rows")
-    ts_arr = np.concatenate(stamps)
-    _check_increasing(ts_arr)
-    return LoadSeries(ts_arr, np.concatenate(demands))
+    _check_increasing(ts[:n])
+    return LoadSeries(ts[:n], demand[:n])
 
 
 def parse_weather_csv(path):
     """Read the station weather CSV; empty fields become NaN. Other values
     must be finite and in range, and wx_code one of WX_CODES."""
-    stations, stamps, values = [], [], []
-    for lines, columns in _read_columns(path, WEATHER_HEADER, "weather"):
+    blocks = _read_columns(path, WEATHER_HEADER, "weather")
+    size = next(blocks)
+    stations = np.empty(size, dtype="U1")  # widened when a block holds a longer id
+    ts = np.empty(size, dtype="datetime64[s]")
+    values = np.empty((size, len(_WEATHER_FIELDS)))
+    n = 0
+    for lines, columns in blocks:
+        rows = slice(n, n + lines.size)
         station = np.array([text.strip() for text in columns[0]])
         _reject(station == "", lines, lambda i: "empty station id")
-        ts = _timestamps(columns[1], lines)
-        block = []
-        for field, texts in zip(_WEATHER_FIELDS, columns[2:]):
+        if station.itemsize > stations.itemsize:
+            stations = stations.astype(station.dtype)
+        stations[rows] = station
+        ts[rows] = _timestamps(columns[1], lines)
+        for j, (field, texts) in enumerate(zip(_WEATHER_FIELDS, columns[2:])):
             vals = _convert(_optional_floats, texts, lines, f"{field[0]} value")
             missing = np.isnan(vals)
             # NaN is allowed only from an empty field, not from a field reading "nan"
             if np.count_nonzero(missing) != texts.count(""):
                 missing &= np.array(texts, dtype=object) == ""
             _check_weather_field(field, vals, missing, lines)
-            block.append(vals)
-        _check_wx_code(block[-1], lines)
-        stations.append(station)
-        stamps.append(ts)
-        values.append(np.column_stack(block))
-    if not stamps:
+            values[rows, j] = vals
+        _check_wx_code(values[rows, -1], lines)
+        n = rows.stop
+        del columns, texts  # before the next block is read
+    if not n:
         raise CsvParseError("weather file has no data rows")
-    station, ts = np.concatenate(stations), np.concatenate(stamps)
-    _check_station_hours_unique(station, ts)
-    return WeatherTable(station, ts, np.concatenate(values))
+    _check_station_hours_unique(stations[:n], ts[:n])
+    return WeatherTable(stations[:n], ts[:n], values[:n])
 
 
 @dataclass
@@ -523,6 +575,8 @@ def align_hourly(load, weather, stations):
 
     Per hour and per field the value is the arithmetic mean over requested
     stations reporting that field; hours no station covers stay missing.
+    Each field is summed on its own, one bincount over the records' hours in
+    table order, so no record x field array is built.
     """
     stations = set(stations)
     if not stations:
@@ -534,27 +588,26 @@ def align_hourly(load, weather, stations):
             f"none of the requested stations {sorted(stations)} appear in the weather data")
 
     n = len(load)
-    in_set = np.isin(weather.station, sorted(usable))
-    w_ts = weather.timestamps[in_set]
-    w_vals = weather.values[in_set]
-    idx = np.searchsorted(load.timestamps, w_ts)
+    records = np.flatnonzero(np.isin(weather.station, sorted(usable)))
+    idx = np.searchsorted(load.timestamps, weather.timestamps[records])
     inside = idx < n
-    inside[inside] &= load.timestamps[idx[inside]] == w_ts[inside]
-    idx, w_vals = idx[inside], w_vals[inside]
-    # one bin per frame cell; bincount sums each bin in record order
-    n_cols = len(WEATHER_COLUMNS)
-    ok = ~np.isnan(w_vals)
-    cells = (idx[:, None] * n_cols + np.arange(n_cols))[ok]
-    sums = np.bincount(cells, weights=w_vals[ok], minlength=n * n_cols).reshape(n, n_cols)
-    counts = np.bincount(cells, minlength=n * n_cols).reshape(n, n_cols)
-
-    if counts.sum() == 0:
-        raise AlignmentError("load and weather time ranges do not overlap")
+    inside[inside] &= load.timestamps[idx[inside]] == weather.timestamps[records[inside]]
+    idx, records = idx[inside], records[inside]
 
     data = np.full((n, N_FEATURES), np.nan)
     data[:, DEMAND] = load.demand_mw
-    have = counts > 0
-    data[:, 2:8] = np.where(have, sums / np.where(have, counts, 1.0), np.nan)
+    covered = 0
+    # one weather column at a time; bincount sums each hour in record order
+    for j in range(len(WEATHER_COLUMNS)):
+        vals = weather.values[records, j]
+        ok = ~np.isnan(vals)
+        hours = idx[ok]
+        counts = np.bincount(hours, minlength=n)
+        sums = np.bincount(hours, weights=vals[ok], minlength=n)
+        np.divide(sums, counts, out=data[:, 2 + j], where=counts > 0)
+        covered += hours.size
+    if not covered:
+        raise AlignmentError("load and weather time ranges do not overlap")
     return AlignedFrame(load.timestamps.copy(), data)
 
 

@@ -114,6 +114,12 @@ class ToleranceModel:
     sigma_mw: np.ndarray
 
     def __post_init__(self):
+        for name in ("bin_edges_c", "sigma_mw"):  # lists too, kept as float arrays
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise CalibrationError(f"{name} must be an array of real numbers, "
+                                       f"got {getattr(self, name)!r}") from None
         edges, sigma = self.bin_edges_c, self.sigma_mw
         if not (np.ndim(edges) == 1 and np.size(edges) >= 2 and np.all(np.isfinite(edges))
                 and np.all(np.diff(edges) > 0)):

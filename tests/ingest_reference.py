@@ -2,9 +2,10 @@
 
 The CSV parsers here read one row at a time and check one field at a time,
 in row order; the CSV writers format and write one row at a time, with the
-header text spelled out; `missing_runs` and `make_windows` are the plain
-loops, and `impute_linear` and `add_lag_feature` work one hourly segment
-(`segments`) at a time. The property tests in test_ingest_properties.py
+header text spelled out; `align_hourly` averages each (hour, field) cell
+over a list of its station values; `missing_runs` and `make_windows` are the
+plain loops, and `impute_linear` and `add_lag_feature` work one hourly
+segment (`segments`) at a time. The property tests in test_ingest_properties.py
 hold the columnar code to the same results. The timestamp rule is the current one: a trailing Z is the
 only UTC offset accepted, and an empty or NaT field is a bad timestamp.
 
@@ -20,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridcast.errors import CsvParseError, ImputationError, OrderingError, WindowError
+from gridcast.errors import (
+    AlignmentError,
+    CsvParseError,
+    ImputationError,
+    OrderingError,
+    WindowError,
+)
 from gridcast.ingest import (
     AIR_TEMP,
     DEMAND,
@@ -28,6 +35,7 @@ from gridcast.ingest import (
     HOUR,
     LAG24,
     LOAD_HEADER,
+    N_FEATURES,
     WEATHER_COLUMNS,
     WEATHER_HEADER,
     WINDOW_HOURS,
@@ -166,6 +174,39 @@ def write_weather_csv(path, weather):
         for station, ts, vals in zip(weather.station, weather.timestamps, weather.values):
             cells = ["" if np.isnan(v) else repr(float(v)) for v in vals]
             fh.write(f"{station},{format_timestamp(ts)}," + ",".join(cells) + "\n")
+
+
+def align_hourly(load, weather, stations):
+    stations = set(stations)
+    if not stations:
+        raise AlignmentError("need at least one station")
+    usable = stations & set(weather.station.tolist())
+    if not usable:
+        raise AlignmentError(
+            f"none of the requested stations {sorted(stations)} appear in the weather data")
+    row_of = {ts: row for row, ts in enumerate(load.timestamps.tolist())}
+    # cells[row][j]: the values the usable stations report for field j at that
+    # hour, in table order
+    cells = [[[] for _ in WEATHER_COLUMNS] for _ in range(len(load))]
+    for station, ts, values in zip(weather.station.tolist(), weather.timestamps.tolist(),
+                                   weather.values.tolist()):
+        if station not in usable or ts not in row_of:
+            continue
+        for j, value in enumerate(values):
+            if not math.isnan(value):
+                cells[row_of[ts]][j].append(value)
+    if not any(reported for row in cells for reported in row):
+        raise AlignmentError("load and weather time ranges do not overlap")
+    data = np.full((len(load), N_FEATURES), np.nan)
+    data[:, DEMAND] = load.demand_mw
+    for row, fields in enumerate(cells):
+        for name, reported in zip(WEATHER_COLUMNS, fields):
+            if reported:
+                total = 0.0
+                for value in reported:  # left to right; sum() may compensate
+                    total += value
+                data[row, FEATURE_COLUMNS.index(name)] = total / len(reported)
+    return AlignedFrame(load.timestamps.copy(), data)
 
 
 def missing_runs(miss):

@@ -1,5 +1,7 @@
 import datetime as dt
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -680,6 +682,38 @@ def test_build_frame_end_to_end(tmp_path):
     assert report["lag_warmup_rows_dropped"] == 24
 
 
+BUILD_STAGES = ("align_hourly", "impute_linear", "drop_unfilled_rows", "encode_calendar",
+                "add_lag_feature")
+
+
+def test_build_frame_reaches_each_stage_through_the_module(monkeypatch):
+    # the benchmark's tracer times and counts each stage by patching this
+    # module attribute, and counts imputed cells as the input's NaNs less the
+    # output's, read after the call
+    calls = []
+
+    def recorder(name, stage):
+        def record(frame, *args):
+            nans = np.isnan(frame.data).sum() if name == "impute_linear" else None
+            result = stage(frame, *args)
+            calls.append(name)
+            if nans is not None:
+                assert np.isnan(frame.data).sum() == nans > np.isnan(result[0].data).sum()
+            return result
+        return record
+
+    for name in BUILD_STAGES:
+        monkeypatch.setattr(ingest, name, recorder(name, getattr(ingest, name)))
+    load = ingest.LoadSeries(hours("2024-01-01T00:00:00", 72), np.full(72, 40000.0))
+    # hour 40 has no station: an interior one-hour gap that imputation fills
+    wx = weather_rows("2024-01-01T00:00:00", {
+        station: [None if hour == 40 else 10.0 + hour % 5 for hour in range(72)]
+        for station in ("BKS", "JDD", "TME")})
+    frame, _ = ingest.build_frame(load, wx, {"BKS", "JDD", "TME"}, set())
+    assert calls == list(BUILD_STAGES)
+    assert len(frame) == 72 - ingest.WINDOW_HOURS and not frame.missing.any()
+
+
 SHORT_GAP, LONG_GAP = slice(2000, 2003), slice(3000, 3010)  # hours from the start
 YEAR_SPLIT = ingest.SplitSpec(train=("2024-01-01", "2024-09-01"),
                               val=("2024-09-01", "2024-11-01"),
@@ -839,3 +873,69 @@ class TestWindowMemory:
         assert allocated < 0.01 * inputs.nbytes
         rows = test.starts[:, None] + np.arange(ingest.WINDOW_HOURS)
         assert inputs.tobytes() == test.std_data[rows].tobytes()
+
+
+def station_weather(n_hours, stations=("BKS", "JDD", "TME"), seed=0):
+    """Every station's record at each of n_hours hours, station by station,
+    with values in range and about a fifth of them missing."""
+    rng = np.random.default_rng(seed)
+    n = n_hours * len(stations)
+    values = np.column_stack([rng.uniform(-10, 40, n), rng.uniform(-15, 45, n),
+                              rng.uniform(0, 100, n), rng.uniform(0, 20, n),
+                              rng.uniform(0, 5, n), rng.integers(0, 6, n).astype(float)])
+    values[rng.random(values.shape) < 0.2] = np.nan
+    return ingest.WeatherTable(np.repeat(np.array(stations), n_hours),
+                               np.tile(hours("2024-01-01T00:00:00", n_hours), len(stations)),
+                               values)
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIngestMemory:
+    """The CSV parsers hold one block of text at a time, and align_hourly
+    builds no record x field array."""
+
+    def test_parse_weather_csv_holds_one_block_at_a_time(self, tmp_path, monkeypatch):
+        path = tmp_path / "weather.csv"
+        ingest.write_weather_csv(path, station_weather(2000))
+        block_rows = 64  # 6 000 rows: 94 blocks
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        weather, peak = traced_peak(lambda: ingest.parse_weather_csv(path))
+        table = sum(array.nbytes for array in (weather.station, weather.timestamps,
+                                                weather.values))
+        with open(path, encoding="utf-8") as fh:
+            fields = "".join(itertools.islice(fh, 1, 1 + block_rows)).replace("\n", ",")
+        block = sum(sys.getsizeof(field) for field in fields.split(",") if field)
+        _, check = traced_peak(
+            lambda: ingest._check_station_hours_unique(weather.station, weather.timestamps))
+        # Above the table it returns, the parser holds one block at a time:
+        # its text, its field strings and the two lists of them (the fields
+        # and the columns). Each string's header, 49 bytes or more, outweighs
+        # its text and its two list slots (16 bytes), so a block stays under
+        # 2 * `block`. The station column's narrower first copy is one
+        # column, and the duplicate check sorts the whole table after the
+        # last block (`check`, well over one column); neither grows with the
+        # number of blocks. Holding a second block, or a second copy of the
+        # table while concatenating the blocks, exceeds this bound.
+        assert peak - table <= 2 * block + weather.station.nbytes + check
+
+    def test_align_hourly_builds_no_record_by_field_array(self):
+        n = 2000
+        load = ingest.LoadSeries(hours("2024-01-01T00:00:00", n), np.full(n, 40000.0))
+        weather = station_weather(n)
+        frame, peak = traced_peak(lambda: ingest.align_hourly(load, weather, {"BKS", "JDD", "TME"}))
+        # With R = 3n records (every station every hour) and the frame's
+        # 13 * 8 = 104 bytes a row, align_hourly holds the frame, the used
+        # records' indices and hour rows (16R), and one weather column's
+        # values, mask, hour rows and weights (25R), hour counts and sums
+        # (16n): 104n + 123n + 16n = 243n, 2.3 frames. Record x field arrays
+        # (two copies of the values, cell indices, masks and weights, 8 or 1
+        # bytes for each of 6R cells) took this case to 10.6 frames.
+        assert peak <= 3 * frame.data.nbytes

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ingest_reference as ref
 from gridcast import ingest, synthetic
-from gridcast.errors import ConfigError, CsvParseError, OrderingError
+from gridcast.errors import AlignmentError, ConfigError, CsvParseError, OrderingError
 
 T0 = np.datetime64("2024-03-09T00:00:00", "s")
 STATIONS = ("BKS", "JDD", "TME")
@@ -415,6 +415,50 @@ def test_synthetic_year_parses_back_to_generate(tmp_path):
         # bytes compare NaN positions too
         assert weather.values[rows].tobytes() == data.station_weather[name].tobytes()
     assert np.isnan(weather.values).any()
+
+
+ALIGN_STATIONS = ("BKS", "JDD", "TME", "KDFW")
+# requested sets: all of the table's usual stations, some, one with a station
+# the table lacks, only such a station, and none
+ALIGN_REQUESTS = ({"BKS", "JDD", "TME"}, {"BKS", "JDD"}, {"JDD", "TME", "KAUS"}, {"KAUS"}, set())
+
+
+@st.composite
+def load_and_weather(draw):
+    """A load series over some of 30 hours; records of up to four stations
+    (KDFW never requested) at hours from 3 before the first to 3 after the
+    last, in shuffled order, so that some fall outside the load hours and a
+    load hour has zero to four of them; NaN fields, at times all of them;
+    and a requested station set from ALIGN_REQUESTS."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    load_hours = np.flatnonzero(rng.random(30) < draw(st.sampled_from([0.3, 1.0])))
+    load_hours = load_hours if load_hours.size else np.array([0])
+    covered = rng.random((len(ALIGN_STATIONS), 36)) < draw(st.sampled_from([0.2, 0.6, 0.95]))
+    station, hour = np.nonzero(covered)
+    order = rng.permutation(station.size)
+    values = rng.uniform(-40.0, 40.0, (station.size, len(ingest.WEATHER_COLUMNS)))
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))] = np.nan
+    load = ingest.LoadSeries(T0 + load_hours * ingest.HOUR, rng.uniform(3e4, 6e4, load_hours.size))
+    weather = ingest.WeatherTable(np.array(ALIGN_STATIONS)[station[order]],
+                                  T0 + (hour[order] - 3) * ingest.HOUR, values)
+    return load, weather, draw(st.sampled_from(ALIGN_REQUESTS))
+
+
+@given(load_and_weather())
+@settings(max_examples=300)
+def test_align_hourly_matches_the_per_cell_reference(case):
+    outcomes = []
+    for align in (ref.align_hourly, ingest.align_hourly):
+        try:
+            outcomes.append((align(*case), None))
+        except AlignmentError as exc:
+            outcomes.append((None, exc))
+    (expected, ref_exc), (got, exc) = outcomes
+    if ref_exc is not None:
+        assert_same_error(ref_exc, exc)
+    else:
+        assert exc is None
+        assert_same_arrays(expected, got)
 
 
 def hourly_segments(draw, max_length, max_skip):

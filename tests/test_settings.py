@@ -125,6 +125,24 @@ def test_check_real_rejects_an_int_beyond_float_range():
         check_real("x", -BIG)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: nn.Adam(lr=10**5000), "lr"),
+    (lambda: synthetic.SyntheticConfig(seed=-10**5000), "seed"),
+], ids=["Adam.lr", "SyntheticConfig.seed"])
+def test_an_int_too_long_to_repr_is_shown_by_its_digit_count(build, field):
+    # the message's repr raised a raw ValueError past Python's 4 300-digit limit
+    with pytest.raises(ConfigError, match=f"^{field} must .*, got an int of 5001 digits$"):
+        build()
+
+
+@pytest.mark.parametrize("value, digits", [
+    (10**4300, 4301), (-(10**4301) + 1, 4301), (2**20000, 6021),
+], ids=["10**4300", "1-10**4301", "2**20000"])
+def test_digit_count_of_an_int_too_long_to_repr(value, digits):
+    with pytest.raises(ConfigError, match=f"got an int of {digits} digits$"):
+        check_real("x", value)
+
+
 @pytest.mark.parametrize("check, args", [
     (check_int, ("n", None, 1)), (check_int, ("n", -1, 0)),
     (check_real, ("x", "a")), (check_real, ("x", BIG)), (check_real, ("x", 0.0, 0.0, 1.0, True)),
@@ -153,3 +171,29 @@ def test_tolerance_model_rejects_a_band_it_cannot_index(edges, sigma, field):
     # each was accepted, and _bin_index clipped into the wrong bin
     with pytest.raises(CalibrationError, match=f"^{field} must"):
         physics.ToleranceModel(bin_edges_c=np.array(edges), sigma_mw=np.array(sigma))
+
+
+def test_tolerance_model_keeps_lists_as_the_same_float_arrays():
+    # a list raised a raw TypeError from the sigma floor check
+    edges, sigma = [-10.0, 0.0, 10.0], [5.0, 7.5]
+    from_lists = physics.ToleranceModel(edges, sigma)
+    from_arrays = physics.ToleranceModel(np.array(edges), np.array(sigma))
+    for name in ("bin_edges_c", "sigma_mw"):
+        got, expected = getattr(from_lists, name), getattr(from_arrays, name)
+        assert type(got) is np.ndarray and got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+    temps = np.linspace(-20.0, 20.0, 17)
+    assert from_lists.sigma(temps).tobytes() == from_arrays.sigma(temps).tobytes()
+    assert from_lists.sigma(5.0) == from_arrays.sigma(5.0) == 7.5
+
+
+@pytest.mark.parametrize("edges, sigma, field", [
+    ([0.0, 10.0], [5.0, 6.0], "sigma_mw"),  # two sigmas for one bin
+    ([10.0, 0.0], [5.0], "bin_edges_c"),  # not increasing
+    (["a", "b"], [5.0], "bin_edges_c"),  # not numbers
+    ([0.0, 10.0], [[5.0], [6.0, 7.0]], "sigma_mw"),  # ragged
+    ([0.0, 10.0], [0.5], "sigma_mw"),  # below the floor
+], ids=["sigma-per-bin", "edges-order", "edges-text", "sigma-ragged", "sigma-floor"])
+def test_tolerance_model_rejects_a_bad_list(edges, sigma, field):
+    with pytest.raises(CalibrationError, match=f"^{field} must"):
+        physics.ToleranceModel(edges, sigma)
