@@ -401,8 +401,13 @@ def _check_station_hours_unique(station, ts):
     """Raise OrderingError naming the first record, in table order, that
     repeats an earlier record's station and timestamp."""
     order = np.lexsort((ts, station))  # stable: equal keys stay in table order
-    repeat = ((station[order[1:]] == station[order[:-1]])
-              & (ts[order[1:]] == ts[order[:-1]]))
+    # one sorted key alive at a time, compared with itself one row on
+    s = station[order]
+    repeat = s[1:] == s[:-1]
+    del s
+    t = ts[order]
+    repeat &= t[1:] == t[:-1]
+    del t
     if repeat.any():
         first = int(order[1:][repeat].min())
         raise OrderingError(f"duplicate record for station {station[first]} "

@@ -1,13 +1,20 @@
 """Minimal differentiable compute: numpy layers with manual reverse-mode
 gradients, an Adam optimizer, and a deterministic checkpoint format.
 
-Training and gradient checks run in float64. Inference computes in the
-dtype of its input and parameters: a model whose params and buffers are
-cast to float32 returns float32. Mixed dtypes follow numpy's promotion: a
+A train step computes in its batch's dtype around float64 master weights:
+forward(x, train=True) casts each layer's params, and
+PositionalEncodingAdd's table, to x's dtype once per call and keeps the
+casts for backward, and backward
+returns gradients in that dtype. An affine backward casts its incoming dy
+to its cached input's dtype, so a float64 loss gradient is cast once, at
+the head. Param gradients are added to the float64 `grads`, so Adam, the
+params and the checkpoint stay float64, and a gradient check, which feeds
+float64 batches, runs in float64. Inference follows numpy promotion: a
 layer allocates its results in the promoted dtype of its input and its
-params and buffers, so a float32 batch entering a float64 model is promoted
-at the first layer that holds parameters (a Dense or Conv1d's patches),
-and its output, gradients and parameters stay float64. The layer contract:
+params and buffers, so a float32 batch entering a float64 model is
+promoted at the first layer that holds parameters (a Dense or Conv1d's
+patches), and a model whose params and buffers are cast to float32
+returns float32. The layer contract:
 
 - forward(x, train=True) caches whatever backward() needs; backward() uses
   the cache of the last train-mode forward.

@@ -9,6 +9,8 @@ Weight init is fan-in scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
 drawn from the generator handed to the constructor.
 """
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError, ShapeError, check_int, check_real
@@ -38,11 +40,18 @@ def _affine(x, w, b):
 
 def _affine_backward(x, dy, w, gw, gb):
     """Backward of y = x @ w + b over the last axis: adds dL/dw to gw and
-    dL/db to gb, returns dL/dx. Every product is 2-D, which BLAS runs fastest."""
-    dy2 = dy.reshape(-1, w.shape[1])
+    dL/db to gb, returns dL/dx in x's dtype, the dtype dy is cast to. Every
+    product is 2-D, which BLAS runs fastest."""
+    dy2 = dy.astype(x.dtype, copy=False).reshape(-1, w.shape[1])
     gw += x.reshape(-1, w.shape[0]).T @ dy2
     gb += dy2.sum(axis=0)
     return (dy2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
+
+
+def _train_params(x, *params):
+    """The params cast to x's dtype: a train-mode forward computes in its
+    input's dtype. A float64 param is returned as it is for a float64 x."""
+    return [p.astype(x.dtype, copy=False) for p in params]
 
 
 def _plus(skip, out):
@@ -57,9 +66,12 @@ class Layer:
     """Base layer: trainable params/grads, non-trainable buffers, and named
     sublayers.
 
-    forward(x, train=True) may cache what backward() needs; forward(x,
-    train=False) assigns no attribute. Buffers are updated in place, so the
-    dicts from named_params() and state_tensors() stay live views.
+    forward(x, train=True) computes in x's dtype and may cache what
+    backward() needs, the params cast to that dtype included; backward()
+    returns gradients in that dtype and adds param gradients to the float64
+    `grads`. forward(x, train=False) follows numpy promotion and assigns no
+    attribute. Buffers are updated in place, so the dicts from
+    named_params() and state_tensors() stay live views.
     """
 
     def __init__(self):
@@ -119,12 +131,14 @@ class Dense(Layer):
     def forward(self, x, train=False):
         if x.ndim not in (2, 3) or x.shape[-1] != self.d_in:
             raise ShapeError(f"dense expects (B, {self.d_in}) or (B, T, {self.d_in}), got {x.shape}")
+        w, b = self.params["W"], self.params["b"]
         if train:
-            self._x = x
-        return _affine(x, self.params["W"], self.params["b"])
+            w, b = _train_params(x, w, b)
+            self._x, self._w = x, w
+        return _affine(x, w, b)
 
     def backward(self, dy):
-        return _affine_backward(self._x, dy, self.params["W"], self.grads["W"], self.grads["b"])
+        return _affine_backward(self._x, dy, self._w, self.grads["W"], self.grads["b"])
 
 
 class ReLU(Layer):
@@ -165,15 +179,16 @@ class Conv1d(Dense):
             raise ShapeError(f"conv expects (B, T, {self.c_in}), got {x.shape}")
         if x.shape[1] < self.kernel:
             raise ShapeError(f"conv needs T >= {self.kernel}, got T={x.shape[1]}")
-        # in the dtype of x @ W; the zeros are the padding
-        cols = np.zeros((*x.shape[:2], self.d_in), dtype=np.result_type(x, self.params["W"]))
+        # in the dtype of the product with W; the zeros are the padding
+        dtype = x.dtype if train else np.result_type(x, self.params["W"])
+        cols = np.zeros((*x.shape[:2], self.d_in), dtype=dtype)
         for cols_j, lo, hi, shift in self._taps(x.shape[1]):
             cols[:, lo:hi, cols_j] = x[:, lo + shift : hi + shift]
         return super().forward(cols, train)
 
     def backward(self, dy):
         dcols = super().backward(dy)
-        dx = np.zeros((*dcols.shape[:2], self.c_in))
+        dx = np.zeros((*dcols.shape[:2], self.c_in), dtype=dcols.dtype)
         for cols_j, lo, hi, shift in self._taps(dx.shape[1]):
             dx[:, lo + shift : hi + shift] += dcols[:, lo:hi, cols_j]
         return dx
@@ -199,30 +214,33 @@ class _Norm(Layer):
         """mean(a * b) over the statistic axes, kept as size-1 axes."""
         kept = [i for i in range(3) if i not in self.axes]
         shape = [a.shape[i] if i in kept else 1 for i in range(3)]
-        return np.einsum(a, [0, 1, 2], b, [0, 1, 2], kept).reshape(shape) / (a.size // np.prod(shape))
+        # a Python int divisor keeps a float32 mean float32 under every numpy
+        return np.einsum(a, [0, 1, 2], b, [0, 1, 2], kept).reshape(shape) / (a.size // math.prod(shape))
 
     def _normalize(self, x, train):
         """(y, mean, var) by x's own statistics; train mode caches for backward."""
         self._check(x)
-        mean = x.mean(axis=self.axes, keepdims=True,
-                      dtype=np.result_type(x, self.params["gamma"]))
+        gamma, beta = self.params["gamma"], self.params["beta"]
+        if train:
+            gamma, beta = _train_params(x, gamma, beta)
+        mean = x.mean(axis=self.axes, keepdims=True, dtype=np.result_type(x, gamma))
         xhat = x - mean  # centred once, then scaled in place
         var = self._mean_of_product(xhat, xhat)
         inv = 1.0 / np.sqrt(var + NORM_EPS)
         xhat *= inv
         if train:
-            self._cache = (xhat, inv)
-        y = np.multiply(xhat, self.params["gamma"], out=None if train else xhat)
-        y += self.params["beta"]
+            self._cache = (xhat, inv, gamma)
+        y = np.multiply(xhat, gamma, out=None if train else xhat)
+        y += beta
         return y, mean, var
 
     def backward(self, dy):
-        xhat, inv = self._cache
+        xhat, inv, gamma = self._cache
         tmp = dy * xhat
         self.grads["gamma"] += tmp.sum(axis=(0, 1))
         self.grads["beta"] += dy.sum(axis=(0, 1))
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on dxhat
-        dx = dy * self.params["gamma"]
+        dx = dy * gamma
         mx = self._mean_of_product(dx, xhat)
         dx -= dx.mean(axis=self.axes, keepdims=True)
         dx -= np.multiply(xhat, mx, out=tmp)
@@ -279,7 +297,7 @@ class MaxPool1d(Layer):
 
     def backward(self, dy):
         end = 2 * dy.shape[1]
-        dx = np.zeros(self._in_shape)
+        dx = np.zeros(self._in_shape, dtype=dy.dtype)
         # each half of the pairs takes dy where it won and a zero elsewhere
         np.multiply(dy, self._second_wins, out=dx[:, 1:end:2])
         np.multiply(dy, ~self._second_wins, out=dx[:, 0:end:2])
@@ -358,6 +376,8 @@ class PositionalEncodingAdd(Layer):
         pe = self.buffers["pe"]
         if x.shape[1:] != pe.shape:
             raise ShapeError(f"expected (B, {pe.shape[0]}, {pe.shape[1]}), got {x.shape}")
+        if train:
+            [pe] = _train_params(x, pe)
         return x + pe
 
     def backward(self, dy):
@@ -396,7 +416,7 @@ class MultiHeadSelfAttention(Layer):
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
-        self.scale = 1.0 / np.sqrt(self.d_k)
+        self.scale = 1.0 / math.sqrt(self.d_k)  # a Python float scales in any dtype
         # drawn Wq, Wk, Wv, Wo, then bq, bk, bv, bo: the order fixes every initial value
         w = [_uniform_init(rng, (d_model, d_model), d_model) for _ in range(4)]
         b = [_uniform_init(rng, (d_model,), d_model) for _ in range(4)]
@@ -410,11 +430,11 @@ class MultiHeadSelfAttention(Layer):
         heads = a.reshape(b, t, width // self.d_model, self.n_heads, self.d_k)
         return heads.transpose(2, 0, 3, 1, 4)
 
-    def _attend(self, x):
+    def _attend(self, x, wqkv, bqkv):
         """Per-head (q, k, v, softmax weights) for x; stores nothing."""
         if x.ndim != 3 or x.shape[2] != self.d_model:
             raise ShapeError(f"attention expects (B, T, {self.d_model}), got {x.shape}")
-        q, k, v = self._split(_affine(x, self.params["Wqkv"], self.params["bqkv"]))
+        q, k, v = self._split(_affine(x, wqkv, bqkv))
         b, h, t, _ = q.shape
         w = np.empty((t, b, h, t), dtype=q.dtype)  # w[j, b, h, i]: key j, query i
         np.matmul(k, q.transpose(0, 1, 3, 2), out=w.transpose(1, 2, 0, 3))
@@ -428,26 +448,30 @@ class MultiHeadSelfAttention(Layer):
     def attention_weights(self, x):
         """Row-softmax attention weights, shape (B, n_heads, T, T): a view
         of a new key-major (T, B, n_heads, T) buffer, not a contiguous array."""
-        return self._attend(x)[3]
+        return self._attend(x, self.params["Wqkv"], self.params["bqkv"])[3]
 
     def forward(self, x, train=False):
-        q, k, v, attn = self._attend(x)
+        p = self.params
+        wqkv, bqkv, wo, bo = p["Wqkv"], p["bqkv"], p["Wo"], p["bo"]
+        if train:
+            wqkv, bqkv, wo, bo = _train_params(x, wqkv, bqkv, wo, bo)
+        q, k, v, attn = self._attend(x, wqkv, bqkv)
         ctx = np.empty(x.shape, dtype=q.dtype)  # heads written straight into their merged layout
         np.matmul(attn, v, out=self._split(ctx)[0])
         if train:
-            self._cache = (x, q, k, v, attn, ctx)
+            self._cache = (x, q, k, v, attn, ctx, wqkv, wo)
         # in eval mode this frees q | k | v and the weights before the
         # output projection allocates
         del q, k, v, attn
-        return _affine(ctx, self.params["Wo"], self.params["bo"])
+        return _affine(ctx, wo, bo)
 
     def backward(self, dy):
-        x, q, k, v, attn, ctx = self._cache
-        p, g = self.params, self.grads
+        x, q, k, v, attn, ctx, wqkv, wo = self._cache
+        g = self.grads
         d = self.d_model
-        dctx = self._split(_affine_backward(ctx, dy, p["Wo"], g["Wo"], g["bo"]))[0]
+        dctx = self._split(_affine_backward(ctx, dy, wo, g["Wo"], g["bo"]))[0]
         # dq | dk | dv, each head written straight into its place in one buffer
-        dqkv = np.empty((*x.shape[:2], 3 * d))
+        dqkv = np.empty((*x.shape[:2], 3 * d), dtype=dctx.dtype)
         dq, dk, dv = self._split(dqkv)
         np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
         # softmax backward, dS = A * (dA - sum(dA * A)), in place on dA
@@ -457,7 +481,7 @@ class MultiHeadSelfAttention(Layer):
         np.matmul(dscores, k, out=dq)
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
         dqkv[..., : 2 * d] *= self.scale
-        return _affine_backward(x, dqkv, p["Wqkv"], g["Wqkv"], g["bqkv"])
+        return _affine_backward(x, dqkv, wqkv, g["Wqkv"], g["bqkv"])
 
 
 class Sequential(Layer):

@@ -926,6 +926,17 @@ class TestIngestMemory:
         # table while concatenating the blocks, exceeds this bound.
         assert peak - table <= 2 * block + weather.station.nbytes + check
 
+    def test_duplicate_check_holds_one_sorted_key_at_a_time(self):
+        weather = station_weather(2000)
+        station, ts = weather.station, weather.timestamps
+        _, peak = traced_peak(lambda: ingest._check_station_hours_unique(station, ts))
+        # The sort order (8 bytes a row), one key gathered in that order (the
+        # wider key, at most), the repeat mask and one comparison's mask (a
+        # byte a row each); 1 KiB covers numpy's scalars and views. Gathering
+        # both keys twice, each shifted by a row, took 33 bytes a row here.
+        bound = len(station) * (8 + max(station.itemsize, ts.itemsize) + 2) + 1024
+        assert peak <= bound
+
     def test_align_hourly_builds_no_record_by_field_array(self):
         n = 2000
         load = ingest.LoadSeries(hours("2024-01-01T00:00:00", n), np.full(n, 40000.0))

@@ -530,27 +530,91 @@ def mixed_dtype_cases():
 def test_float32_batch_into_float64_params_follows_numpy_promotion(make, shape):
     rng = seeded_rng(18, "mixed-dtype")
     x32 = rng.normal(size=shape).astype(np.float32)
-    runs = []
-    for x in (x32, x32.astype(np.float64)):
-        layer = make(seeded_rng(18, "mixed-dtype-layer"))  # the same layer twice
-        out = layer.forward(x)
-        train_out = layer.forward(x, train=True)
-        layer.zero_grads()
-        dx = layer.backward(seeded_rng(18, "mixed-dtype-dy").normal(size=train_out.shape))
-        runs.append((layer, out, train_out, dx))
-    (layer, out, train_out, dx), (layer64, out64, train_out64, dx64) = runs
+    # inference follows numpy promotion
+    layer, layer64 = (make(seeded_rng(18, "mixed-dtype-layer")) for _ in range(2))
+    out, out64 = layer.forward(x32), layer64.forward(x32.astype(np.float64))
     promoted = np.result_type(x32, *layer.state_tensors().values())
     assert out.dtype == promoted
     # a float64 result is the float64-cast batch's; a layer holding no arrays
     # keeps float32, rounded once more at most
-    for got, want in ((out, out64), (train_out, train_out64)):
-        tol = 1e-12 if got.dtype == np.float64 else 1e-6
-        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-    np.testing.assert_allclose(dx, dx64, rtol=0, atol=1e-12)
-    grads64 = layer64.named_grads()
-    for name, g in layer.named_grads().items():
-        assert g.dtype == np.float64
-        np.testing.assert_allclose(g, grads64[name], rtol=0, atol=1e-12, err_msg=name)
+    tol = 1e-12 if out.dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(out, out64, rtol=0, atol=tol)
+    # a train step computes in the batch's dtype: the bits of the same layer
+    # with its params and buffers cast to float32, its gradients added to
+    # the float64 grads
+    dy = seeded_rng(18, "mixed-dtype-dy").normal(size=out.shape)
+    runs = []
+    for layer in (make(seeded_rng(18, "mixed-dtype-layer")),
+                  as_float32(make(seeded_rng(18, "mixed-dtype-layer")))):
+        train_out = layer.forward(x32, train=True)
+        layer.zero_grads()
+        runs.append([train_out, layer.backward(dy), *layer.named_grads().values()])
+    train_out, _, *grads = runs[0]
+    assert train_out.dtype == np.float32
+    assert all(g.dtype == np.float64 for g in grads)
+    assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
+
+
+F32_EPS = np.finfo(np.float32).eps
+
+
+def float32_step_bound(layer, x):
+    """How far a float32 train step may move a result from the float64-cast
+    batch's, relative to the largest magnitude of that result.
+
+    Both runs start from the same values: the batch and dy hold float32
+    values, and each param is rounded once to float32, which moves it by at
+    most F32_EPS / 2 relative. A float32 sum of n terms is then within
+    n * F32_EPS of the sum of the terms' magnitudes; the float64 run's own
+    rounding is 2**-29 of that. No sum here runs over more terms than n, the
+    larger of the B·T rows a param gradient sums and the widest fan-in. A
+    step runs each of the model's `depth` leaf layers once forward and once
+    backward, and each layer carries an error on with a gain of order one
+    at this init and unit-scale data (a normalization divides by a standard
+    deviation near 1), so the error reaching any result is at most
+    2 * depth * n * F32_EPS of its scale. This is the worst case; the
+    rounding errors of random data mostly cancel.
+    """
+    depth = sum(1 for _, leaf in layer.walk() if not leaf.sublayers)
+    fan_in = max((p.shape[0] for p in layer.named_params().values() if p.ndim == 2), default=1)
+    n = max(x.shape[0] * x.shape[1], fan_in)
+    return 2 * depth * n * F32_EPS
+
+
+def cached_floats(model):
+    """(name, array) for every float array a layer holds outside its params,
+    grads and buffers: the train-mode cache, alone or in a tuple."""
+    for path, layer in model.walk():
+        for attr, val in vars(layer).items():
+            for i, a in enumerate(val if isinstance(val, tuple) else (val,)):
+                if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                    yield f"{path}{attr}[{i}]", a
+
+
+@pytest.mark.parametrize("make, shape", mixed_dtype_cases())
+def test_float32_train_step_computes_in_float32_into_float64_grads(make, shape):
+    x32 = seeded_rng(21, "f32-step").normal(size=shape).astype(np.float32)
+    runs = []
+    for x in (x32, x32.astype(np.float64)):
+        layer = make(seeded_rng(21, "f32-step-layer"))  # the same layer twice
+        out = layer.forward(x, train=True)
+        cached = dict(cached_floats(layer))
+        dy = seeded_rng(21, "f32-step-dy").normal(size=out.shape).astype(np.float32)
+        layer.zero_grads()
+        dx = layer.backward(dy.astype(x.dtype))
+        runs.append((out, cached, dx, layer.named_grads()))
+    (out, cached, dx, grads), (out64, _, dx64, grads64) = runs
+    assert out.dtype == dx.dtype == np.float32
+    assert {name: a.dtype for name, a in cached.items()} == dict.fromkeys(cached, np.float32)
+    bound = float32_step_bound(layer, x32)
+    for got, want in ((out, out64), (dx, dx64)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
+    # one scale for every param: a gradient that cancels to near zero, as
+    # the Conv1d bias before BatchNorm does, keeps the rounding of its terms
+    scale = max((np.abs(g).max() for g in grads64.values()), default=0.0)
+    for name, g in grads.items():
+        assert g.dtype == np.float64, name
+        np.testing.assert_allclose(g, grads64[name], rtol=0, atol=bound * scale, err_msg=name)
 
 
 def test_eval_attention_frees_its_buffers_before_the_output_projection():
