@@ -40,10 +40,14 @@ returns float32. The layer contract:
   bqkv, so one affine map gives q | k | v and one gradient goes back
   through it), one normalization (BatchNorm1d over batch and
   time, LayerNorm over the last axis), one tap rule for Conv1d, which
-  is a Dense over each step's patch with W of shape (kernel·c_in, c_out),
+  multiplies each step's patch by W of shape (kernel·c_in, c_out),
   tap-major, and one softmax: attention writes its scores into a key-major
   (T_k, B, n_heads, T_q) buffer and normalizes it over axis 0;
   attention_weights returns the (B, n_heads, T_q, T_k) view of that buffer.
+- Conv1d is bias-free: every Conv1d feeds a BatchNorm1d, whose batch mean
+  cancels a per-channel constant, so a bias there would get only rounding
+  noise as its gradient. Dense is the one layer that is an affine map with a
+  bias; attention's projections add theirs inside MultiHeadSelfAttention.
 - A constructor checks its sizes and rates by the number rule of
   gridcast.errors (check_int, check_real): ConfigError names the argument.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,

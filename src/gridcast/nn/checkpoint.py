@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..errors import ArtifactError
+from ..errors import ArtifactError, ConfigError
 
 MAGIC = b"GRIDCAST-CKPT-2\n"
 
@@ -27,8 +27,36 @@ def _digest(directory, meta, blob):
     return h.hexdigest()
 
 
+def _check_contents(tensors, meta):
+    """Raise ConfigError, naming the tensor or the meta, for what
+    load_checkpoint would not give back as it was written."""
+    for name, value in tensors.items():
+        if not isinstance(name, str):
+            raise ConfigError(f"checkpoint tensor name {name!r} must be a str")
+        try:
+            dtype = np.asarray(value).dtype
+        except ValueError as exc:  # a ragged nesting of sequences
+            raise ConfigError(f"checkpoint tensor {name!r} is not an array ({exc})") from None
+        if dtype.kind not in "biuf":
+            raise ConfigError(f"checkpoint tensor {name!r} has dtype {dtype}, "
+                              f"not bool, integer or float")
+    if not isinstance(meta, dict):
+        raise ConfigError(f"checkpoint meta must be a dict, got {type(meta).__name__}")
+    try:
+        text = json.dumps(meta, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint meta is not JSON ({exc})") from None
+    if json.loads(text) != meta:
+        raise ConfigError(f"checkpoint meta {meta!r} does not read back as written")
+
+
 def save_checkpoint(path, tensors, meta=None):
-    """Write named float64 arrays and a JSON-serializable meta dict."""
+    """Write named arrays as float64 and a JSON meta dict. Raises
+    ConfigError, before the file is opened, for a tensor name that is not a
+    str, a tensor that is not bool, integer or float, or meta that is not a
+    dict JSON holds exactly (no NaN or infinity, str keys)."""
+    meta = {} if meta is None else meta
+    _check_contents(tensors, meta)
     directory = []
     blobs = []
     offset = 0
@@ -39,7 +67,6 @@ def save_checkpoint(path, tensors, meta=None):
         blobs.append(raw)
         offset += len(raw)
     blob = b"".join(blobs)
-    meta = meta or {}
     header = json.dumps(
         {"tensors": directory, "meta": meta, "sha256": _digest(directory, meta, blob)},
         sort_keys=True, ensure_ascii=True,
@@ -73,9 +100,10 @@ def load_checkpoint(path):
     """Read a checkpoint; returns ({name: array}, meta).
 
     Raises ArtifactError, naming the path, on a wrong magic line, an
-    unreadable header, a directory entry save_checkpoint would not write
-    (naming the tensor), tensor data of the wrong length or a checksum
-    mismatch over the header's directory and meta and the tensor data.
+    unreadable header, meta that is not a JSON object, a directory entry
+    save_checkpoint would not write (naming the tensor), tensor data of
+    the wrong length or a checksum mismatch over the header's directory and
+    meta and the tensor data.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -89,6 +117,8 @@ def load_checkpoint(path):
         entries = [(entry["name"], entry["shape"], entry["offset"]) for entry in directory]
     except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ArtifactError(f"{path}: checkpoint meta {meta!r} is not a JSON object")
     sizes = _tensor_sizes(path, entries)
     if len(blob) != sum(sizes):
         raise ArtifactError(

@@ -38,13 +38,14 @@ def _affine(x, w, b):
     return y
 
 
-def _affine_backward(x, dy, w, gw, gb):
-    """Backward of y = x @ w + b over the last axis: adds dL/dw to gw and
-    dL/db to gb, returns dL/dx in x's dtype, the dtype dy is cast to. Every
-    product is 2-D, which BLAS runs fastest."""
+def _affine_backward(x, dy, w, gw, gb=None):
+    """Backward of y = x @ w (+ b) over the last axis: adds dL/dw to gw and
+    dL/db to gb, if given; returns dL/dx in x's dtype, the dtype dy is cast
+    to. Every product is 2-D, which BLAS runs fastest."""
     dy2 = dy.astype(x.dtype, copy=False).reshape(-1, w.shape[1])
     gw += x.reshape(-1, w.shape[0]).T @ dy2
-    gb += dy2.sum(axis=0)
+    if gb is not None:
+        gb += dy2.sum(axis=0)
     return (dy2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
 
 
@@ -151,20 +152,24 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class Conv1d(Dense):
-    """1-D convolution over time with zero same-padding, as a Dense over each
-    step's patch; the output keeps the input length.
+class Conv1d(Layer):
+    """1-D convolution over time with zero same-padding: each step's patch
+    times W; the output keeps the input length.
 
     W is (kernel·c_in, c_out), tap-major: rows j·c_in to (j+1)·c_in weight
-    the input j − kernel // 2 steps after the output step.
+    the input j − kernel // 2 steps after the output step. There is no bias:
+    every Conv1d here feeds a BatchNorm1d, whose batch mean cancels one.
     """
 
     def __init__(self, c_in, c_out, kernel, rng):
+        super().__init__()
         c_in, c_out, kernel = _check_sizes(c_in=c_in, c_out=c_out, kernel=kernel)
         if kernel % 2 != 1:
             raise ConfigError("same-padding conv requires an odd kernel")
-        super().__init__(kernel * c_in, c_out, rng)
         self.c_in, self.kernel = c_in, kernel
+        self.d_in, self.d_out = kernel * c_in, c_out
+        self.params = {"W": _uniform_init(rng, (self.d_in, c_out), self.d_in)}
+        self.grads = {"W": np.zeros_like(self.params["W"])}
 
     def _taps(self, t):
         """Per tap: its patch columns, the output steps [lo, hi) whose input
@@ -184,10 +189,14 @@ class Conv1d(Dense):
         cols = np.zeros((*x.shape[:2], self.d_in), dtype=dtype)
         for cols_j, lo, hi, shift in self._taps(x.shape[1]):
             cols[:, lo:hi, cols_j] = x[:, lo + shift : hi + shift]
-        return super().forward(cols, train)
+        w = self.params["W"]
+        if train:
+            [w] = _train_params(cols, w)
+            self._cols, self._w = cols, w
+        return cols @ w
 
     def backward(self, dy):
-        dcols = super().backward(dy)
+        dcols = _affine_backward(self._cols, dy, self._w, self.grads["W"])
         dx = np.zeros((*dcols.shape[:2], self.c_in), dtype=dcols.dtype)
         for cols_j, lo, hi, shift in self._taps(dx.shape[1]):
             dx[:, lo + shift : hi + shift] += dcols[:, lo:hi, cols_j]

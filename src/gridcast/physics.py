@@ -66,6 +66,7 @@ def fit_envelope(temps, demands, t0_c):
     Residuals (demand minus fitted curve, aligned to the inputs) feed the
     tolerance fit.
     """
+    t0_c = check_real("t0_c", t0_c, error=CalibrationError)
     temps = np.asarray(temps, dtype=float)
     demands = np.asarray(demands, dtype=float)
     if temps.shape != demands.shape or temps.ndim != 1:
@@ -148,10 +149,10 @@ def fit_tolerance(temps, residuals):
     """Per-bin population std of envelope residuals over the temp range."""
     temps = np.asarray(temps, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
+    if temps.shape != residuals.shape or temps.ndim != 1:
+        raise CalibrationError("temps and residuals must be equal-length vectors")
     if temps.size == 0:
         raise CalibrationError("cannot fit tolerance on empty input")
-    if temps.shape != residuals.shape:
-        raise CalibrationError("temps and residuals must align")
     if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(residuals))):
         raise CalibrationError("temps and residuals must be finite")
     lo = np.floor(temps.min() / BIN_WIDTH_C) * BIN_WIDTH_C
@@ -263,6 +264,8 @@ def estimate_delta_max(train_demand):
     """Empirical DELTA_MAX_PERCENTILE percentile (linear interpolation between
     order statistics) of absolute hour-over-hour first differences."""
     y = np.asarray(train_demand, dtype=float)
+    if y.ndim != 1:
+        raise CalibrationError(f"train_demand must be a vector, got shape {y.shape}")
     if y.size < 2:
         raise CalibrationError("need at least 2 points to difference")
     if not np.all(np.isfinite(y)):

@@ -115,7 +115,7 @@ def attention_backward(x, params, n_heads, dy):
     return dx, grads
 
 
-def conv1d(x, w, b):
+def conv1d(x, w):
     """(output, patches) of a same-padded Conv1d whose W is
     (kernel * c_in, c_out) in tap-major order; patches are (B, T, kernel, c_in)."""
     kernel = w.shape[0] // x.shape[2]
@@ -123,21 +123,20 @@ def conv1d(x, w, b):
     xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
     view = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1)
     cols = np.ascontiguousarray(view.transpose(0, 1, 3, 2))
-    return cols.reshape(*x.shape[:2], -1) @ w + b, cols
+    return cols.reshape(*x.shape[:2], -1) @ w, cols
 
 
 def conv1d_backward(dy, cols, w):
-    """(dx, dW, db) of Conv1d given the forward's patches."""
+    """(dx, dW) of Conv1d given the forward's patches."""
     bsz, t, kernel, c_in = cols.shape
     pad = kernel // 2
     dy2 = dy.reshape(bsz * t, -1)
     dw = cols.reshape(bsz * t, -1).T @ dy2
-    db = dy2.sum(axis=0)
     dcols = (dy2 @ w.T).reshape(bsz, t, kernel, c_in)
     dxp = np.zeros((bsz, t + 2 * pad, c_in))
     for j in range(kernel):
         dxp[:, j : j + t, :] += dcols[:, :, j, :]
-    return dxp[:, pad : pad + t, :], dw, db
+    return dxp[:, pad : pad + t, :], dw
 
 
 def batch_norm_train(x, gamma, beta, eps):

@@ -137,7 +137,6 @@ def test_conv_block_identity_kernel_reduces_to_maxpool():
     block = nn.Sequential([("conv", conv), ("relu", nn.ReLU()), ("pool", nn.MaxPool1d())])
     conv.params["W"][...] = 0.0
     conv.params["W"][3:6] = np.eye(3)  # center tap passes channels through
-    conv.params["b"][...] = 0.0
     x = rng.uniform(0.5, 2.0, size=(2, 8, 3))  # positive so ReLU is inert
     expected = x.reshape(2, 4, 2, 3).max(axis=2)
     np.testing.assert_allclose(block.forward(x), expected)
@@ -147,7 +146,6 @@ def test_conv_block_zero_input_zero_bias_gives_zero():
     rng = seeded_rng(1, "zero-conv")
     conv = nn.Conv1d(2, 5, 3, rng)
     block = nn.Sequential([("conv", conv), ("relu", nn.ReLU()), ("pool", nn.MaxPool1d())])
-    conv.params["b"][...] = 0.0
     out = block.forward(np.zeros((1, 6, 2)))
     np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -446,6 +444,19 @@ def test_an_overlapping_window_view_gives_the_bits_of_its_copy(branch):
     assert runs[0] == runs[1]
 
 
+def test_every_cnn_param_gets_a_gradient():
+    # a param whose gradient is rounding noise is still moved by Adam, about
+    # lr a step: a Conv1d bias before BatchNorm got 4e-16 of the largest
+    rng = seeded_rng(23, "live-grads")
+    model = benchmark_shaped_branches(23)["cnn"]
+    model.forward(rng.normal(size=(64, 24, 13)), train=True)
+    model.zero_grads()
+    model.backward(rng.normal(size=(64, 1)))
+    grads = {name: np.abs(g).max() for name, g in model.named_grads().items()}
+    largest = max(grads.values())
+    assert [name for name, g in grads.items() if g < 1e-8 * largest] == []
+
+
 def as_float32(model):
     """Cast a model's params and buffers to float32."""
     for _, layer in model.walk():
@@ -610,7 +621,7 @@ def test_float32_train_step_computes_in_float32_into_float64_grads(make, shape):
     for got, want in ((out, out64), (dx, dx64)):
         np.testing.assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
     # one scale for every param: a gradient that cancels to near zero, as
-    # the Conv1d bias before BatchNorm does, keeps the rounding of its terms
+    # attention's key bias does, keeps the rounding of its terms
     scale = max((np.abs(g).max() for g in grads64.values()), default=0.0)
     for name, g in grads.items():
         assert g.dtype == np.float64, name

@@ -170,3 +170,37 @@ def test_checkpoint_rejects_a_directory_save_would_not_write(tmp_path, edit, mat
     rewrite_header(path, edit, sign=True)
     with pytest.raises(ArtifactError, match=f"dir.ckpt.*{re.escape(match)}"):
         nn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tensors, meta, match", [
+    # written, then rejected by load_checkpoint
+    pytest.param({1: np.ones(2)}, None, "tensor name 1 must be a str", id="int-name"),
+    # the imaginary part was dropped with only a ComplexWarning
+    pytest.param({"z": np.array([1 + 2j])}, None, "'z' has dtype complex128", id="complex"),
+    # stored as NaN
+    pytest.param({"o": np.array([None, 1.0])}, None, "'o' has dtype object", id="object"),
+    # each a raw ValueError
+    pytest.param({"a": "xyz"}, None, "'a' has dtype <U3", id="string"),
+    pytest.param({"r": [[1.0], [1.0, 2.0]]}, None, "'r' is not an array", id="ragged"),
+    # a raw TypeError
+    pytest.param({}, {"step": np.int64(3)}, "meta is not JSON", id="numpy-int-meta"),
+    # round-tripped as a list
+    pytest.param({}, [1], "meta must be a dict, got list", id="list-meta"),
+    # written as Infinity, which is not JSON
+    pytest.param({}, {"x": np.inf}, "meta is not JSON", id="infinite-meta"),
+    # read back with the key "1"
+    pytest.param({}, {1: "a"}, "does not read back as written", id="int-key-meta"),
+])
+def test_save_checkpoint_rejects_what_load_would_not_give_back(tmp_path, tensors, meta, match):
+    path = tmp_path / "bad.ckpt"
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        nn.save_checkpoint(path, tensors, meta)
+    assert not path.exists()
+
+
+def test_checkpoint_rejects_meta_that_is_not_an_object(tmp_path):
+    path = tmp_path / "meta.ckpt"
+    nn.save_checkpoint(path, {"a": np.zeros(3)})
+    rewrite_header(path, lambda fields: fields.update(meta=[1]), sign=True)
+    with pytest.raises(ArtifactError, match=r"meta.ckpt.*meta \[1\] is not a JSON object"):
+        nn.load_checkpoint(path)

@@ -79,6 +79,13 @@ class TestFitEnvelope:
             physics.fit_envelope(data["temps"], data["demands"], ENV.t0_c)
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("t0_c", ["a", None, np.nan, np.True_])
+    def test_non_real_breakpoint_errors(self, t0_c):
+        # a str raised a raw UFuncTypeError and None a raw TypeError
+        temps = np.linspace(0.0, 30.0, 40)
+        with pytest.raises(CalibrationError, match="^t0_c must be a finite real"):
+            physics.fit_envelope(temps, physics.envelope_demand(ENV, temps), t0_c)
+
     def test_rank_deficient_segment_errors(self):
         temps = np.array([5.0] * 10 + [25.0, 26.0, 27.0, 28.0])
         with pytest.raises(CalibrationError):
@@ -111,6 +118,15 @@ class TestTolerance:
     def test_empty_errors(self):
         with pytest.raises(CalibrationError):
             physics.fit_tolerance(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("temps, residuals", [
+        pytest.param(np.arange(60.0).reshape(6, 10), np.ones((6, 10)), id="matrix"),
+        pytest.param(np.float64(5.0), np.float64(1.0), id="scalar"),
+    ])
+    def test_non_vector_input_errors(self, temps, residuals):
+        # each returned a model
+        with pytest.raises(CalibrationError, match="equal-length vectors"):
+            physics.fit_tolerance(temps, residuals)
 
     def test_nan_temperature_errors(self):
         temps = np.linspace(0.0, 30.0, 100)
@@ -366,6 +382,11 @@ class TestDeltaMax:
     def test_too_short(self):
         with pytest.raises(CalibrationError):
             physics.estimate_delta_max(np.array([1.0]))
+
+    def test_matrix_errors(self):
+        # differenced within rows, giving 99.505; as one series the values give 99.98
+        with pytest.raises(CalibrationError, match=r"vector, got shape \(2, 2\)"):
+            physics.estimate_delta_max(np.array([[1.0, 2.0], [100.0, 200.0]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_demand_errors(self, value):
