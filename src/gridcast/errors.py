@@ -51,7 +51,8 @@ class ConfigError(GridcastError):
 
 
 class ShapeError(GridcastError):
-    """Tensor shape incompatible with a layer or operation."""
+    """Tensor shape incompatible with a layer or operation, or a train-mode
+    input that is not floating point."""
 
 
 class ArtifactError(GridcastError):

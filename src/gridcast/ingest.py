@@ -847,11 +847,19 @@ def make_windows(frame, standardizer, split):
     value is standardizer.transform's float64 result rounded once, and no
     float64 copy is kept. A split whose targets are consecutive rows, as
     every split of a gap-free stretch is, reads its inputs as a view of that
-    copy. Raises WindowError if any split produces no window.
+    copy. Raises WindowError if any split produces no window, and
+    StandardizerError, naming the column, for a value that standardizes
+    beyond float32's range, as a later value does over a column whose train
+    std is tiny.
     """
     if np.isnan(frame.data).any():
         raise WindowError("frame must be fully imputed before windowing")
-    std_data = standardizer.transform(frame.data).astype(np.float32)
+    with np.errstate(over="ignore"):  # an overflow is found and named below
+        std_data = standardizer.transform(frame.data).astype(np.float32)
+    finite = np.isfinite(std_data).all(axis=0)
+    if not finite.all():
+        name = FEATURE_COLUMNS[np.argmin(finite)]
+        raise StandardizerError(f"column {name!r} standardizes beyond float32's range")
     std_data.flags.writeable = False
     out = {}
     for tag in ("train", "val", "test"):

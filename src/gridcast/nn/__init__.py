@@ -51,7 +51,11 @@ returns float32. The layer contract:
 - A constructor checks its sizes and rates by the number rule of
   gridcast.errors (check_int, check_real): ConfigError names the argument.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,
-  for an input of the wrong rank or width.
+  for an input of the wrong rank or width. A train-mode forward that would
+  cast params or the positional table to its input's dtype, and Dropout's,
+  raises ShapeError naming the dtype for an input that is not floating
+  point; ReLU, MaxPool1d and GlobalAvgPool are exact on integers and bools
+  and take them.
 """
 
 from .layers import (

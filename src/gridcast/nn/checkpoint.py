@@ -1,11 +1,14 @@
-"""Deterministic checkpoint container: JSON header plus raw float64 blobs.
+"""Deterministic checkpoint container, format 3: a signed JSON header plus
+raw float64 blobs.
 
-Layout: magic line, one JSON header line (tensor directory, metadata and
-a SHA-256 digest), then the concatenated C-order little-endian array
-bytes. The digest covers the directory and metadata as well as the data,
-so a damaged header is caught like damaged data. Writing the same tensors
-and metadata twice produces byte-identical files, which numpy's zip-based
-formats do not guarantee.
+Layout: the magic line, a line holding the SHA-256 hex digest of every byte
+after it, one JSON header line {"meta": {...}, "tensors": [{"name", "shape"}]}
+with the directory in sorted name order, then each tensor's C-order
+little-endian float64 bytes, one after another in directory order. The
+digest signs the header as read as well as the data, so a damaged header is
+caught like damaged data. Writing the same tensors and metadata twice
+produces byte-identical files, which numpy's zip-based formats do not
+guarantee.
 """
 
 import hashlib
@@ -16,15 +19,7 @@ import numpy as np
 
 from ..errors import ArtifactError, ConfigError
 
-MAGIC = b"GRIDCAST-CKPT-2\n"
-
-
-def _digest(directory, meta, blob):
-    """SHA-256 over the canonical JSON of directory and meta, then the data."""
-    h = hashlib.sha256(json.dumps({"tensors": directory, "meta": meta},
-                                  sort_keys=True, ensure_ascii=True).encode("ascii"))
-    h.update(blob)
-    return h.hexdigest()
+MAGIC = b"GRIDCAST-CKPT-3\n"
 
 
 def _check_contents(tensors, meta):
@@ -34,12 +29,16 @@ def _check_contents(tensors, meta):
         if not isinstance(name, str):
             raise ConfigError(f"checkpoint tensor name {name!r} must be a str")
         try:
-            dtype = np.asarray(value).dtype
+            arr = np.asarray(value)
         except ValueError as exc:  # a ragged nesting of sequences
             raise ConfigError(f"checkpoint tensor {name!r} is not an array ({exc})") from None
-        if dtype.kind not in "biuf":
-            raise ConfigError(f"checkpoint tensor {name!r} has dtype {dtype}, "
+        if arr.dtype.kind not in "biuf":
+            raise ConfigError(f"checkpoint tensor {name!r} has dtype {arr.dtype}, "
                               f"not bool, integer or float")
+        # as Python ints: a uint64 compares equal to its float64 rounding
+        if arr.dtype.kind in "iu" and arr.size and max(-int(arr.min()), int(arr.max())) > 2**53:
+            raise ConfigError(f"checkpoint tensor {name!r} holds an integer beyond "
+                              f"2**53, which float64 would round")
     if not isinstance(meta, dict):
         raise ConfigError(f"checkpoint meta must be a dict, got {type(meta).__name__}")
     try:
@@ -53,46 +52,34 @@ def _check_contents(tensors, meta):
 def save_checkpoint(path, tensors, meta=None):
     """Write named arrays as float64 and a JSON meta dict. Raises
     ConfigError, before the file is opened, for a tensor name that is not a
-    str, a tensor that is not bool, integer or float, or meta that is not a
-    dict JSON holds exactly (no NaN or infinity, str keys)."""
+    str, a tensor that is not bool, integer or float, an integer float64
+    would round (beyond 2**53 in magnitude), or meta that is not a dict
+    JSON holds exactly (no NaN or infinity, str keys)."""
     meta = {} if meta is None else meta
     _check_contents(tensors, meta)
-    directory = []
-    blobs = []
-    offset = 0
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype="<f8")  # tobytes writes C order
-        raw = arr.tobytes()
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-    blob = b"".join(blobs)
-    header = json.dumps(
-        {"tensors": directory, "meta": meta, "sha256": _digest(directory, meta, blob)},
-        sort_keys=True, ensure_ascii=True,
-    )
+    arrays = {name: np.asarray(tensors[name], dtype="<f8") for name in sorted(tensors)}
+    directory = [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()]
+    header = json.dumps({"tensors": directory, "meta": meta}, sort_keys=True,
+                        ensure_ascii=True).encode("ascii") + b"\n"
+    body = header + b"".join(a.tobytes() for a in arrays.values())  # tobytes writes C order
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header.encode("ascii") + b"\n")
-        fh.write(blob)
+        fh.write(MAGIC + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+        fh.write(body)
 
 
 def _tensor_sizes(path, entries):
-    """Byte size of each (name, shape, offset) directory entry, checked
-    against what save_checkpoint writes: unique str names, shapes that are
-    lists of non-negative ints, and each offset the bytes before it."""
-    sizes, names, offset = [], set(), 0
-    for name, shape, at in entries:
+    """Byte size of each (name, shape) directory entry, checked against
+    what save_checkpoint writes: unique str names and shapes that are lists
+    of non-negative ints."""
+    sizes, names = [], set()
+    for name, shape in entries:
         if not isinstance(name, str) or name in names:
             raise ArtifactError(f"{path}: tensor name {name!r} is not a unique string")
         names.add(name)
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise ArtifactError(
                 f"{path}: tensor {name!r} has shape {shape!r}, not a list of non-negative ints")
-        if type(at) is not int or at != offset:
-            raise ArtifactError(f"{path}: tensor {name!r} is at offset {at!r}, not {offset}")
         sizes.append(8 * math.prod(shape))
-        offset += sizes[-1]
     return sizes
 
 
@@ -102,19 +89,20 @@ def load_checkpoint(path):
     Raises ArtifactError, naming the path, on a wrong magic line, an
     unreadable header, meta that is not a JSON object, a directory entry
     save_checkpoint would not write (naming the tensor), tensor data of
-    the wrong length or a checksum mismatch over the header's directory and
-    meta and the tensor data.
+    the wrong length or a SHA-256 mismatch over the header line and the
+    tensor data.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
+        digest_line = fh.readline()
         header_line = fh.readline()
         blob = fh.read()
     if magic != MAGIC:
         raise ArtifactError(f"{path} is not a gridcast checkpoint")
     try:
         header = json.loads(header_line.decode("ascii"))
-        directory, meta, digest = header["tensors"], header["meta"], header["sha256"]
-        entries = [(entry["name"], entry["shape"], entry["offset"]) for entry in directory]
+        meta = header["meta"]
+        entries = [(entry["name"], entry["shape"]) for entry in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: unreadable checkpoint header ({exc})") from None
     if not isinstance(meta, dict):
@@ -123,10 +111,10 @@ def load_checkpoint(path):
     if len(blob) != sum(sizes):
         raise ArtifactError(
             f"{path}: tensor data is {len(blob)} bytes, the header implies {sum(sizes)}")
-    if _digest(directory, meta, blob) != digest:
+    if digest_line != hashlib.sha256(header_line + blob).hexdigest().encode("ascii") + b"\n":
         raise ArtifactError(f"{path}: header or tensor data fails its SHA-256 check")
-    tensors = {}
-    for (name, shape, offset), size in zip(entries, sizes):
-        arr = np.frombuffer(blob, dtype="<f8", count=size // 8, offset=offset)
-        tensors[name] = arr.reshape(tuple(shape)).copy()
+    tensors, offset = {}, 0
+    for (name, shape), size in zip(entries, sizes):
+        tensors[name] = np.frombuffer(blob, "<f8", size // 8, offset).reshape(shape).copy()
+        offset += size
     return tensors, meta

@@ -49,9 +49,18 @@ def _affine_backward(x, dy, w, gw, gb=None):
     return (dy2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
 
 
+def _check_floating(x):
+    """ShapeError, naming the dtype, for a train-mode input that is not
+    floating point: the forward computes in its input's dtype, which would
+    truncate the params, the positional table or Dropout's scale."""
+    if x.dtype.kind != "f":
+        raise ShapeError(f"a train-mode forward needs floating-point input, got dtype {x.dtype}")
+
+
 def _train_params(x, *params):
     """The params cast to x's dtype: a train-mode forward computes in its
     input's dtype. A float64 param is returned as it is for a float64 x."""
+    _check_floating(x)
     return [p.astype(x.dtype, copy=False) for p in params]
 
 
@@ -343,6 +352,7 @@ class Dropout(Layer):
     def forward(self, x, train=False):
         if not train:
             return x
+        _check_floating(x)
         self._mask = self.rng.random(x.shape) < 1.0 - self.rate if self.rate else None
         return self._masked(x)
 

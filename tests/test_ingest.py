@@ -582,6 +582,17 @@ class TestWindows:
         with pytest.raises(WindowError, match="train"):
             ingest.make_windows(frame, std, split)
 
+    def test_value_beyond_float32_after_standardizing_errors(self):
+        frame = populated_frame()
+        split = default_split(frame)
+        precip = ingest.FEATURE_COLUMNS.index("precip_mm")
+        frame.data[:, precip] = 0.0
+        frame.data[3, precip] = 1e-37  # train std 1e-38
+        frame.data[-1, precip] = 5.0  # a test row 5e38 train stds out: float32 inf
+        std = ingest.fit_standardizer(frame, split)
+        with pytest.raises(StandardizerError, match="precip_mm"):
+            ingest.make_windows(frame, std, split)
+
     def test_windows_do_not_cross_splits(self):
         frame = populated_frame()
         split = default_split(frame)

@@ -529,6 +529,25 @@ def test_every_leaf_layer_class_is_covered():
     assert leaves == set(LEAF_LAYERS)
 
 
+# max, mean and max(x, 0) are exact on integers and bools; every other leaf
+# would cast its float64 params, table or scale to the input's dtype
+INTEGER_SAFE = (nn.ReLU, nn.MaxPool1d, nn.GlobalAvgPool)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("cls", LEAF_LAYERS, ids=lambda cls: cls.__name__)
+def test_train_forward_rejects_an_input_that_is_not_floating(cls, dtype):
+    make, shape = LEAF_LAYERS[cls]
+    layer = make(seeded_rng(22, "integer-batch"))
+    x = np.ones(shape, dtype)
+    if cls in INTEGER_SAFE:
+        np.testing.assert_array_equal(layer.forward(x, train=True),
+                                      layer.forward(x.astype(np.float64), train=True))
+    else:
+        with pytest.raises(ShapeError, match=f"got dtype {np.dtype(dtype)}$"):
+            layer.forward(x, train=True)
+
+
 def mixed_dtype_cases():
     for cls, (make, shape) in LEAF_LAYERS.items():
         yield pytest.param(make, shape, id=cls.__name__)
