@@ -1,20 +1,19 @@
 """Minimal differentiable compute: numpy layers with manual reverse-mode
 gradients, an Adam optimizer, and a deterministic checkpoint format.
 
-A train step computes in its batch's dtype around float64 master weights:
-forward(x, train=True) casts each layer's params, and
-PositionalEncodingAdd's table, to x's dtype once per call and keeps the
-casts for backward, and backward
-returns gradients in that dtype. An affine backward casts its incoming dy
-to its cached input's dtype, so a float64 loss gradient is cast once, at
-the head. Param gradients are added to the float64 `grads`, so Adam, the
+One dtype rule holds in both modes: a layer computes in its batch's dtype
+around float64 master weights. forward(x, train) casts each layer's params
+and buffers (BatchNorm1d's running statistics, PositionalEncodingAdd's
+table) to x's dtype once per call; a train-mode forward keeps the casts for
+backward, which returns gradients in that dtype. The one exception is
+GlobalAvgPool: it accumulates its mean in float64 and returns float64, so
+a float32 batch runs every per-step layer in float32 and the head after
+the pool, any least-squares fit on the pooled features, the fusion and the
+metrics in float64; its backward casts the gradient back to its input's
+dtype. An affine backward casts its incoming dy to its cached input's
+dtype. Param gradients are added to the float64 `grads`, so Adam, the
 params and the checkpoint stay float64, and a gradient check, which feeds
-float64 batches, runs in float64. Inference follows numpy promotion: a
-layer allocates its results in the promoted dtype of its input and its
-params and buffers, so a float32 batch entering a float64 model is
-promoted at the first layer that holds parameters (a Dense or Conv1d's
-patches), and a model whose params and buffers are cast to float32
-returns float32. The layer contract:
+float64 batches, runs in float64 throughout. The layer contract:
 
 - forward(x, train=True) caches whatever backward() needs; backward() uses
   the cache of the last train-mode forward.
@@ -51,11 +50,11 @@ returns float32. The layer contract:
 - A constructor checks its sizes and rates by the number rule of
   gridcast.errors (check_int, check_real): ConfigError names the argument.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,
-  for an input of the wrong rank or width. A train-mode forward that would
-  cast params or the positional table to its input's dtype, and Dropout's,
-  raises ShapeError naming the dtype for an input that is not floating
-  point; ReLU, MaxPool1d and GlobalAvgPool are exact on integers and bools
-  and take them.
+  for an input of the wrong rank or width. A forward, in either mode, that
+  would cast params or buffers to its input's dtype, and Dropout's, raises
+  ShapeError naming the dtype for an input that is not floating point;
+  ReLU, MaxPool1d and GlobalAvgPool are exact on integers and bools and
+  take them.
 """
 
 from .layers import (

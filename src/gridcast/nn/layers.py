@@ -50,16 +50,16 @@ def _affine_backward(x, dy, w, gw, gb=None):
 
 
 def _check_floating(x):
-    """ShapeError, naming the dtype, for a train-mode input that is not
-    floating point: the forward computes in its input's dtype, which would
+    """ShapeError, naming the dtype, for an input that is not floating point:
+    a forward computes in its input's dtype, in either mode, which would
     truncate the params, the positional table or Dropout's scale."""
     if x.dtype.kind != "f":
-        raise ShapeError(f"a train-mode forward needs floating-point input, got dtype {x.dtype}")
+        raise ShapeError(f"this layer's forward needs floating-point input, got dtype {x.dtype}")
 
 
-def _train_params(x, *params):
-    """The params cast to x's dtype: a train-mode forward computes in its
-    input's dtype. A float64 param is returned as it is for a float64 x."""
+def _cast_params(x, *params):
+    """The params or buffers cast to x's dtype: a forward computes in its
+    input's dtype. A float64 array is returned as it is for a float64 x."""
     _check_floating(x)
     return [p.astype(x.dtype, copy=False) for p in params]
 
@@ -76,12 +76,12 @@ class Layer:
     """Base layer: trainable params/grads, non-trainable buffers, and named
     sublayers.
 
-    forward(x, train=True) computes in x's dtype and may cache what
-    backward() needs, the params cast to that dtype included; backward()
-    returns gradients in that dtype and adds param gradients to the float64
-    `grads`. forward(x, train=False) follows numpy promotion and assigns no
-    attribute. Buffers are updated in place, so the dicts from
-    named_params() and state_tensors() stay live views.
+    forward(x, train) computes in x's dtype, the params and buffers cast to
+    it once per call (GlobalAvgPool returns float64); train mode may cache
+    what backward() needs, the casts included. backward() returns gradients
+    in x's dtype and adds param gradients to the float64 `grads`.
+    forward(x, train=False) assigns no attribute. Buffers are updated in
+    place, so the dicts from named_params() and state_tensors() stay live.
     """
 
     def __init__(self):
@@ -141,9 +141,8 @@ class Dense(Layer):
     def forward(self, x, train=False):
         if x.ndim not in (2, 3) or x.shape[-1] != self.d_in:
             raise ShapeError(f"dense expects (B, {self.d_in}) or (B, T, {self.d_in}), got {x.shape}")
-        w, b = self.params["W"], self.params["b"]
+        w, b = _cast_params(x, self.params["W"], self.params["b"])
         if train:
-            w, b = _train_params(x, w, b)
             self._x, self._w = x, w
         return _affine(x, w, b)
 
@@ -193,14 +192,11 @@ class Conv1d(Layer):
             raise ShapeError(f"conv expects (B, T, {self.c_in}), got {x.shape}")
         if x.shape[1] < self.kernel:
             raise ShapeError(f"conv needs T >= {self.kernel}, got T={x.shape[1]}")
-        # in the dtype of the product with W; the zeros are the padding
-        dtype = x.dtype if train else np.result_type(x, self.params["W"])
-        cols = np.zeros((*x.shape[:2], self.d_in), dtype=dtype)
+        [w] = _cast_params(x, self.params["W"])
+        cols = np.zeros((*x.shape[:2], self.d_in), dtype=x.dtype)  # the zeros are the padding
         for cols_j, lo, hi, shift in self._taps(x.shape[1]):
             cols[:, lo:hi, cols_j] = x[:, lo + shift : hi + shift]
-        w = self.params["W"]
         if train:
-            [w] = _train_params(cols, w)
             self._cols, self._w = cols, w
         return cols @ w
 
@@ -238,10 +234,8 @@ class _Norm(Layer):
     def _normalize(self, x, train):
         """(y, mean, var) by x's own statistics; train mode caches for backward."""
         self._check(x)
-        gamma, beta = self.params["gamma"], self.params["beta"]
-        if train:
-            gamma, beta = _train_params(x, gamma, beta)
-        mean = x.mean(axis=self.axes, keepdims=True, dtype=np.result_type(x, gamma))
+        gamma, beta = _cast_params(x, self.params["gamma"], self.params["beta"])
+        mean = x.mean(axis=self.axes, keepdims=True)
         xhat = x - mean  # centred once, then scaled in place
         var = self._mean_of_product(xhat, xhat)
         inv = 1.0 / np.sqrt(var + NORM_EPS)
@@ -271,6 +265,7 @@ class BatchNorm1d(_Norm):
 
     Train mode normalizes by batch statistics (population variance) and
     decays running stats with BN_MOMENTUM; infer mode uses the running stats.
+    Both modes compute in the input's dtype; the running stats stay float64.
     """
 
     axes = (0, 1)
@@ -287,10 +282,12 @@ class BatchNorm1d(_Norm):
             run_var[...] = BN_MOMENTUM * run_var + (1 - BN_MOMENTUM) * var.ravel()
             return y
         self._check(x)
+        gamma, beta, run_mean, run_var = _cast_params(
+            x, self.params["gamma"], self.params["beta"], run_mean, run_var)
         # running statistics are constants here: fold gamma into the scale
         y = x - run_mean
-        y *= self.params["gamma"] / np.sqrt(run_var + NORM_EPS)
-        y += self.params["beta"]
+        y *= gamma / np.sqrt(run_var + NORM_EPS)
+        y += beta
         return y
 
 
@@ -323,17 +320,20 @@ class MaxPool1d(Layer):
 
 
 class GlobalAvgPool(Layer):
-    """(B, T, C) -> (B, C) mean over time."""
+    """(B, T, C) -> (B, C) mean over time, accumulated and returned in float64
+    for any input dtype, so the head and a least-squares fit on it run in
+    float64; backward returns a floating input's dtype, float64 otherwise."""
 
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ShapeError(f"global average pool expects (B, T, C), got {x.shape}")
         if train:
             self._t = x.shape[1]
-        return x.mean(axis=1)
+            self._dtype = x.dtype if x.dtype.kind == "f" else np.float64
+        return x.mean(axis=1, dtype=np.float64)
 
     def backward(self, dy):
-        return np.repeat(dy[:, None, :] / self._t, self._t, axis=1)
+        return np.repeat((dy[:, None, :] / self._t).astype(self._dtype), self._t, axis=1)
 
 
 class Dropout(Layer):
@@ -350,9 +350,9 @@ class Dropout(Layer):
         self.rng = rng
 
     def forward(self, x, train=False):
+        _check_floating(x)
         if not train:
             return x
-        _check_floating(x)
         self._mask = self.rng.random(x.shape) < 1.0 - self.rate if self.rate else None
         return self._masked(x)
 
@@ -395,8 +395,7 @@ class PositionalEncodingAdd(Layer):
         pe = self.buffers["pe"]
         if x.shape[1:] != pe.shape:
             raise ShapeError(f"expected (B, {pe.shape[0]}, {pe.shape[1]}), got {x.shape}")
-        if train:
-            [pe] = _train_params(x, pe)
+        [pe] = _cast_params(x, pe)
         return x + pe
 
     def backward(self, dy):
@@ -465,15 +464,13 @@ class MultiHeadSelfAttention(Layer):
         return q, k, v, w.transpose(1, 2, 3, 0)
 
     def attention_weights(self, x):
-        """Row-softmax attention weights, shape (B, n_heads, T, T): a view
-        of a new key-major (T, B, n_heads, T) buffer, not a contiguous array."""
-        return self._attend(x, self.params["Wqkv"], self.params["bqkv"])[3]
+        """Row-softmax weights (B, n_heads, T, T) in x's dtype: a view of a
+        new key-major (T, B, n_heads, T) buffer, not a contiguous array."""
+        return self._attend(x, *_cast_params(x, self.params["Wqkv"], self.params["bqkv"]))[3]
 
     def forward(self, x, train=False):
         p = self.params
-        wqkv, bqkv, wo, bo = p["Wqkv"], p["bqkv"], p["Wo"], p["bo"]
-        if train:
-            wqkv, bqkv, wo, bo = _train_params(x, wqkv, bqkv, wo, bo)
+        wqkv, bqkv, wo, bo = _cast_params(x, p["Wqkv"], p["bqkv"], p["Wo"], p["bo"])
         q, k, v, attn = self._attend(x, wqkv, bqkv)
         ctx = np.empty(x.shape, dtype=q.dtype)  # heads written straight into their merged layout
         np.matmul(attn, v, out=self._split(ctx)[0])

@@ -418,12 +418,39 @@ def test_eval_forward_between_forward_and_backward_keeps_grads(branch):
         np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("branch", ["cnn", "tr"])
-def test_batch_predictions_match_row_by_row(branch):
+def test_batch_predictions_match_row_by_row(branch, dtype):
+    # float32 layers meet the same bound: a row's features do not depend on
+    # the batch size, and the head after the float64 pool runs in float64
     model = benchmark_shaped_branches(2)[branch]
-    x = seeded_rng(2, "rows-x").normal(size=(64, 24, 13))
+    x = seeded_rng(2, "rows-x").normal(size=(64, 24, 13)).astype(dtype)
     rows = np.concatenate([model.forward(x[i:i + 1]) for i in range(len(x))])
     np.testing.assert_allclose(model.forward(x), rows, rtol=0, atol=1e-12)
+
+
+def test_a_head_fit_on_float32_pooled_features_predicts_one_window_as_in_a_batch():
+    # the benchmark's score check: a least-squares head on the Transformer's
+    # pooled features, as perfbench's fit_head fits it, then 64 windows
+    # against one window at a time, within 1e-4 demand standard deviations
+    rng = seeded_rng(24, "head-fit")
+    model = benchmark_shaped_branches(24)["tr"]
+    x = rng.normal(size=(1024, 24, 13)).astype(np.float32)
+    targets = x[:, :, 0].mean(axis=1) + 0.1 * rng.normal(size=len(x))
+    trunk = nn.Sequential(model.sublayers[:-1])
+    feats = np.concatenate([trunk.forward(x[i:i + 64]) for i in range(0, len(x), 64)])
+    design = np.column_stack([feats, np.ones(len(feats))])
+    coef = np.linalg.lstsq(design, targets, rcond=None)[0]
+    # the pooled LayerNorm features sum to about zero, so the fit takes a
+    # large weight along that near-null direction: a float32 head product
+    # over it cancels to rounding noise that depends on the batch
+    assert np.abs(coef[:-1]).max() > 100
+    head = model.sublayers[-1][1]
+    head.params["W"][:, 0] = coef[:-1]
+    head.params["b"][0] = coef[-1]
+    batch = model.forward(x[:64])[:, 0]
+    alone = np.array([model.forward(x[i:i + 1])[0, 0] for i in range(64)])
+    assert np.abs(batch - alone).max() <= 1e-4
 
 
 @pytest.mark.parametrize("branch", ["cnn", "tr"])
@@ -457,20 +484,42 @@ def test_every_cnn_param_gets_a_gradient():
     assert [name for name, g in grads.items() if g < 1e-8 * largest] == []
 
 
-def as_float32(model):
-    """Cast a model's params and buffers to float32."""
-    for _, layer in model.walk():
+def float32_layers(model):
+    """(path, layer) for the layers a float32 batch reaches in float32: all
+    of them up to the model's GlobalAvgPool, which returns float64."""
+    for path, layer in model.walk():
+        if isinstance(layer, nn.GlobalAvgPool):
+            return
+        yield path, layer
+
+
+def as_dtype(model, dtype, layers=None):
+    """Cast the params and buffers of `layers` (default: every layer) to dtype."""
+    for _, layer in model.walk() if layers is None else layers:
         for attr in ("params", "buffers"):
-            setattr(layer, attr, {k: v.astype(np.float32) for k, v in getattr(layer, attr).items()})
+            setattr(layer, attr, {k: v.astype(dtype) for k, v in getattr(layer, attr).items()})
     return model
 
 
+def as_float32(model):
+    """The model a float32 batch computes with: the params and buffers of
+    its float32 layers cast to float32."""
+    return as_dtype(model, np.float32, list(float32_layers(model)))
+
+
+def out_dtype(model, dtype):
+    """The dtype a model returns for a batch of dtype."""
+    pools = any(isinstance(layer, nn.GlobalAvgPool) for _, layer in model.walk())
+    return np.dtype(np.float64 if pools else dtype)
+
+
 @pytest.mark.parametrize("branch", ["cnn", "tr"])
-def test_float32_inference_stays_float32_and_near_float64(branch):
+def test_float32_inference_pools_to_float64_near_float64(branch):
     x = seeded_rng(3, "f32-x").normal(size=(64, 24, 13))
-    expected = benchmark_shaped_branches(3)[branch].forward(x)
-    out = as_float32(benchmark_shaped_branches(3)[branch]).forward(x.astype(np.float32))
-    assert out.dtype == np.float32
+    model = benchmark_shaped_branches(3)[branch]
+    expected = model.forward(x)
+    out = model.forward(x.astype(np.float32))
+    assert out.dtype == np.float64
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-4)
 
 
@@ -534,18 +583,19 @@ def test_every_leaf_layer_class_is_covered():
 INTEGER_SAFE = (nn.ReLU, nn.MaxPool1d, nn.GlobalAvgPool)
 
 
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("dtype", [np.int64, np.bool_], ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("cls", LEAF_LAYERS, ids=lambda cls: cls.__name__)
-def test_train_forward_rejects_an_input_that_is_not_floating(cls, dtype):
+def test_forward_rejects_an_input_that_is_not_floating(cls, dtype, train):
     make, shape = LEAF_LAYERS[cls]
     layer = make(seeded_rng(22, "integer-batch"))
     x = np.ones(shape, dtype)
     if cls in INTEGER_SAFE:
-        np.testing.assert_array_equal(layer.forward(x, train=True),
-                                      layer.forward(x.astype(np.float64), train=True))
+        np.testing.assert_array_equal(layer.forward(x, train=train),
+                                      layer.forward(x.astype(np.float64), train=train))
     else:
         with pytest.raises(ShapeError, match=f"got dtype {np.dtype(dtype)}$"):
-            layer.forward(x, train=True)
+            layer.forward(x, train=train)
 
 
 def mixed_dtype_cases():
@@ -557,32 +607,34 @@ def mixed_dtype_cases():
 
 
 @pytest.mark.parametrize("make, shape", mixed_dtype_cases())
-def test_float32_batch_into_float64_params_follows_numpy_promotion(make, shape):
+def test_float32_batch_into_float64_params_computes_as_the_float32_cast_layer(make, shape):
     rng = seeded_rng(18, "mixed-dtype")
     x32 = rng.normal(size=shape).astype(np.float32)
-    # inference follows numpy promotion
-    layer, layer64 = (make(seeded_rng(18, "mixed-dtype-layer")) for _ in range(2))
-    out, out64 = layer.forward(x32), layer64.forward(x32.astype(np.float64))
-    promoted = np.result_type(x32, *layer.state_tensors().values())
-    assert out.dtype == promoted
-    # a float64 result is the float64-cast batch's; a layer holding no arrays
-    # keeps float32, rounded once more at most
-    tol = 1e-12 if out.dtype == np.float64 else 1e-6
-    np.testing.assert_allclose(out, out64, rtol=0, atol=tol)
-    # a train step computes in the batch's dtype: the bits of the same layer
-    # with its params and buffers cast to float32, its gradients added to
-    # the float64 grads
-    dy = seeded_rng(18, "mixed-dtype-dy").normal(size=out.shape)
+
+    def layer():
+        return make(seeded_rng(18, "mixed-dtype-layer"))
+
+    # both modes compute in the batch's dtype: the bits of the same layer
+    # with the params and buffers it computes with cast to float32; a train
+    # step adds its gradients to the float64 grads
+    dy = seeded_rng(18, "mixed-dtype-dy").normal(size=layer().forward(x32).shape)
     runs = []
-    for layer in (make(seeded_rng(18, "mixed-dtype-layer")),
-                  as_float32(make(seeded_rng(18, "mixed-dtype-layer")))):
-        train_out = layer.forward(x32, train=True)
-        layer.zero_grads()
-        runs.append([train_out, layer.backward(dy), *layer.named_grads().values()])
-    train_out, _, *grads = runs[0]
-    assert train_out.dtype == np.float32
+    for model in (layer(), as_float32(layer())):
+        out = model.forward(x32)
+        train_out = model.forward(x32, train=True)
+        model.zero_grads()
+        runs.append([out, train_out, model.backward(dy), *model.named_grads().values()])
+    out, train_out, _, *grads = runs[0]
+    assert out.dtype == train_out.dtype == out_dtype(layer(), np.float32)
     assert all(g.dtype == np.float64 for g in grads)
     assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
+    # and a float64 batch into float32 params computes in float64: the
+    # float64 layer that holds the same float32-rounded values
+    x64 = x32.astype(np.float64)
+    out = as_float32(layer()).forward(x64)
+    assert out.dtype == np.float64
+    rounded = as_dtype(as_float32(layer()), np.float64)
+    np.testing.assert_allclose(out, rounded.forward(x64), rtol=0, atol=1e-12)
 
 
 F32_EPS = np.finfo(np.float32).eps
@@ -612,13 +664,13 @@ def float32_step_bound(layer, x):
 
 
 def cached_floats(model):
-    """(name, array) for every float array a layer holds outside its params,
-    grads and buffers: the train-mode cache, alone or in a tuple."""
+    """(path, name, array) for every float array a layer holds outside its
+    params, grads and buffers: the train-mode cache, alone or in a tuple."""
     for path, layer in model.walk():
         for attr, val in vars(layer).items():
             for i, a in enumerate(val if isinstance(val, tuple) else (val,)):
                 if isinstance(a, np.ndarray) and a.dtype.kind == "f":
-                    yield f"{path}{attr}[{i}]", a
+                    yield path, f"{path}{attr}[{i}]", a
 
 
 @pytest.mark.parametrize("make, shape", mixed_dtype_cases())
@@ -628,14 +680,18 @@ def test_float32_train_step_computes_in_float32_into_float64_grads(make, shape):
     for x in (x32, x32.astype(np.float64)):
         layer = make(seeded_rng(21, "f32-step-layer"))  # the same layer twice
         out = layer.forward(x, train=True)
-        cached = dict(cached_floats(layer))
+        cached = list(cached_floats(layer))
         dy = seeded_rng(21, "f32-step-dy").normal(size=out.shape).astype(np.float32)
         layer.zero_grads()
         dx = layer.backward(dy.astype(x.dtype))
         runs.append((out, cached, dx, layer.named_grads()))
     (out, cached, dx, grads), (out64, _, dx64, grads64) = runs
-    assert out.dtype == dx.dtype == np.float32
-    assert {name: a.dtype for name, a in cached.items()} == dict.fromkeys(cached, np.float32)
+    # the pool returns float64, and the layers after it cache float64
+    assert out.dtype == out_dtype(layer, np.float32)
+    assert dx.dtype == np.float32
+    float32_paths = {path for path, _ in float32_layers(layer)}
+    assert {name: a.dtype for _, name, a in cached} == {
+        name: np.float32 if path in float32_paths else np.float64 for path, name, _ in cached}
     bound = float32_step_bound(layer, x32)
     for got, want in ((out, out64), (dx, dx64)):
         np.testing.assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
@@ -645,6 +701,24 @@ def test_float32_train_step_computes_in_float32_into_float64_grads(make, shape):
     for name, g in grads.items():
         assert g.dtype == np.float64, name
         np.testing.assert_allclose(g, grads64[name], rtol=0, atol=bound * scale, err_msg=name)
+
+
+def test_attention_weights_compute_in_the_input_dtype():
+    def layer():
+        return nn.MultiHeadSelfAttention(8, 2, seeded_rng(25, "weights-dtype-layer"))
+
+    attn = layer()
+    x = seeded_rng(25, "weights-dtype").normal(size=(3, 6, 8)).astype(np.float32)
+    # a float64 batch meets the float64 params as they are
+    weights = attn.attention_weights(x.astype(np.float64))
+    assert weights.dtype == np.float64
+    expected = ref.attention(x.astype(np.float64), attn.params, 2)[1]
+    np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
+    # a float32 batch gets the float32-cast layer's weights, near the float64 ones
+    weights32 = attn.attention_weights(x)
+    assert weights32.dtype == np.float32
+    assert weights32.tobytes() == as_float32(layer()).attention_weights(x).tobytes()
+    np.testing.assert_allclose(weights32, weights, rtol=0, atol=float32_step_bound(attn, x))
 
 
 def test_eval_attention_frees_its_buffers_before_the_output_projection():
