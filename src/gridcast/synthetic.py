@@ -138,6 +138,8 @@ class SyntheticConfig:
                   and all(isinstance(ev, ExtremeEvent) for ev in self.events)):
             raise ConfigError(f"events must be None or a tuple of ExtremeEvent, "
                               f"got {self.events!r}")
+        else:  # a list is kept as the tuple it equals, so the config hashes
+            object.__setattr__(self, "events", tuple(self.events))
 
 
 @dataclass

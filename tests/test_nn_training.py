@@ -3,22 +3,25 @@ same windows cast to float64, at a scale tier-1 can afford: a 1-year set
 (train January-September, val October), convolutions of 8 and 16 filters,
 and a Transformer with d_model 16, one encoder block and ff 32."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gridcast import ingest, nn, physics, synthetic
+from gridcast import forecaster, ingest, nn, synthetic
 from gridcast.seeding import seeded_rng
 
 SEED = 101
 STEPS = 300
-BATCH = 64
 SPLIT = ingest.SplitSpec(train=("2024-01-01", "2024-10-01"), val=("2024-10-01", "2024-11-01"),
                          test=("2024-11-01", "2025-01-01"))
-# A float64 run whose initial weights are moved by one float32 rounding
-# (relative 6e-8) ends these 300 steps with a CNN val MAE 0.4 % and 1.1 %
-# away at seeds 101 and 7: at this scale the CNN amplifies any rounding that
-# much. float32 windows moved it by 0.5 % and 0.8 %, and the Transformer's
-# by under 0.01 %. The tolerance, 2 %, is about twice the larger amplification.
+# On forecaster.train's epoch schedule, float32 windows move the CNN's val
+# MAE after these 300 steps by 0.33 %, 9e-7 and 0.30 % from the float64 run
+# at seeds 101, 7 and 0, and the Transformer's by under 3e-7; rounding the
+# float64 run's initial weights to float32 once moves either by under 3e-8.
+# The tolerance, 2 %, is six times the largest gap: room for a BLAS that
+# rounds the float32 steps differently, and a float32 path that computes
+# wrongly still fails it.
 VAL_MAE_RTOL = 0.02
 
 
@@ -28,18 +31,7 @@ def tiny(tmp_path_factory):
     data_dir = tmp_path_factory.mktemp("tiny")
     cfg = synthetic.SyntheticConfig(seed=SEED, years=1, missing_rate=0.2)
     synthetic.write_dataset(cfg, data_dir)
-    frame, _ = ingest.build_frame(ingest.parse_load_csv(data_dir / "load.csv"),
-                                  ingest.parse_weather_csv(data_dir / "weather.csv"),
-                                  set(cfg.stations),
-                                  ingest.parse_holiday_file(data_dir / "holidays.txt"))
-    standardizer = ingest.fit_standardizer(frame, SPLIT)
-    lo, hi = SPLIT.range_of("train")
-    rows = (frame.timestamps >= lo) & (frame.timestamps < hi)
-    temps, demand = frame.data[rows, ingest.AIR_TEMP], frame.data[rows, ingest.DEMAND]
-    env, residuals = physics.fit_envelope(temps, demand, physics.REFERENCE_ENVELOPE.t0_c)
-    calibration = (env, physics.fit_tolerance(temps, residuals),
-                   physics.PhysicsLossConfig(delta_max_mw=physics.estimate_delta_max(demand)))
-    return standardizer, ingest.make_windows(frame, standardizer, SPLIT), calibration
+    return forecaster.ingest_and_calibrate(data_dir, cfg.stations, SPLIT)
 
 
 def tiny_branches(seed, t=ingest.WINDOW_HOURS, n_in=ingest.N_FEATURES):
@@ -61,39 +53,21 @@ def tiny_branches(seed, t=ingest.WINDOW_HOURS, n_in=ingest.N_FEATURES):
     return {"cnn": cnn, "tr": tr}
 
 
-def ramp_pairs(target_timestamps):
-    order = np.argsort(target_timestamps)
-    next_hour = np.diff(target_timestamps[order]) == ingest.HOUR
-    return np.column_stack([order[:-1][next_hour], order[1:][next_hour]])
+def as_float64(ws):
+    """ws over a float64 copy of its standardized frame."""
+    return dataclasses.replace(ws, std_data=ws.std_data.astype(np.float64))
 
 
-def train(tiny, dtype):
-    """Both branches after STEPS Adam steps under the composite loss, on
-    shuffled batches of the train windows cast to dtype: (val MAE in MW by
-    branch, the bytes of every param by branch)."""
-    standardizer, windows, (env, tol, loss_cfg) = tiny
+def train(tiny, cast):
+    """Both branches after STEPS steps of forecaster.train on the train
+    windows passed through cast: (val MAE in MW by branch, the bytes of
+    every param by branch)."""
+    standardizer, windows, calibration = tiny
     branches = tiny_branches(SEED)
-    adams = {branch: nn.Adam() for branch in branches}
-    train_ws = windows["train"]
-    perm = seeded_rng(SEED, "batches").permutation(len(train_ws))
-    sigma = standardizer.demand_std
-    for step in range(STEPS):
-        start = step * BATCH % (len(perm) - BATCH + 1)
-        ws = train_ws.slice(perm[start:start + BATCH])
-        x = ws.inputs.astype(dtype)
-        pairs = ramp_pairs(ws.target_timestamps)
-        for branch, model in branches.items():
-            z = model.forward(x, train=True)[:, 0]
-            _, grad_mw, _ = physics.composite_loss(
-                standardizer.destandardize_demand(z), ws.targets_mw, ws.target_air_temp_c,
-                pairs, env, tol, loss_cfg)
-            model.zero_grads()
-            model.backward((grad_mw / sigma)[:, None])
-            adams[branch].step(model.named_params(), model.named_grads())
-    val = windows["val"]
-    x = val.inputs.astype(dtype)
+    forecaster.train(branches, cast(windows["train"]), standardizer, calibration, STEPS, SEED)
+    val = cast(windows["val"])
     mae = {branch: float(np.mean(np.abs(
-        standardizer.destandardize_demand(model.forward(x)[:, 0]) - val.targets_mw)))
+        standardizer.destandardize_demand(model.forward(val.inputs)[:, 0]) - val.targets_mw)))
         for branch, model in branches.items()}
     params = {branch: [p.tobytes() for p in model.named_params().values()]
               for branch, model in branches.items()}
@@ -101,8 +75,8 @@ def train(tiny, dtype):
 
 
 def test_float32_windows_train_as_float64_within_rounding_and_repeat_exactly(tiny):
-    mae32, params32 = train(tiny, np.float32)
-    mae64, _ = train(tiny, np.float64)
+    mae32, params32 = train(tiny, lambda ws: ws)
+    mae64, _ = train(tiny, as_float64)
     for branch, want in mae64.items():
         assert abs(mae32[branch] - want) <= VAL_MAE_RTOL * want, (branch, mae32[branch], want)
-    assert train(tiny, np.float32)[1] == params32
+    assert train(tiny, lambda ws: ws)[1] == params32

@@ -257,3 +257,13 @@ def test_manifest_config_rebuilds_its_dataset(tmp_path, config):
     rebuilt = synthetic.SyntheticConfig(**{**saved, "events": events})
     synthetic.write_dataset(rebuilt, tmp_path / "again")
     assert_same_files(tmp_path / "first", tmp_path / "again")
+
+
+def test_an_events_list_is_kept_as_the_tuple_it_equals():
+    # the list was kept: hash(cfg) raised a raw TypeError, and the config
+    # compared unequal to the tuple-built one that writes the same files
+    event = synthetic.ExtremeEvent("2024-03-01T06:00:00Z", 10, -8.5, ramp_h=2)
+    from_list = synthetic.SyntheticConfig(years=1, seed=9, events=[event])
+    from_tuple = synthetic.SyntheticConfig(years=1, seed=9, events=(event,))
+    assert type(from_list.events) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
