@@ -8,9 +8,6 @@ Subpackages and modules:
 - physics      parabolic temperature-demand envelope, tolerance band, and
                the band/ramp penalties with analytic gradients
 - nn           numpy layers with manual backprop, Adam, checkpoints
-- forecaster   the spine that joins them: calibration on the train rows,
-               the CNN and Transformer branches, ramp pairs, the
-               composite-loss Adam step and the batch schedule of training
 - synthetic    envelope-driven synthetic dataset generator
 - errors       the GridcastError hierarchy and the shared checks of settings
 - seeding      per-purpose random streams derived from one seed

@@ -9,9 +9,11 @@ import pytest
 
 import nn_reference as ref
 from gradcheck import central_difference_grad, relative_error
-from gridcast import forecaster, nn
+from gridcast import nn
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.seeding import seeded_rng
+
+import workloads  # perfbench's: the branches at the benchmark's sizes
 
 
 def loss_through(layer, x, proj, train=True):
@@ -366,7 +368,7 @@ def layer_state(model):
 
 @pytest.mark.parametrize("branch", ["cnn", "tr"])
 def test_inference_assigns_no_attribute(branch):
-    model = forecaster.build_branches(0)[branch]
+    model = workloads.build_branches(0)[branch]
     x = seeded_rng(0, "pure-x").normal(size=(8, 24, 13))
     # a train step first, so every backward cache exists and could be clobbered
     model.forward(x, train=True)
@@ -383,7 +385,7 @@ def test_eval_forward_between_forward_and_backward_keeps_grads(branch):
     dy = rng.normal(size=(8, 1))
     runs = []
     for interleave in (False, True):
-        model = forecaster.build_branches(1)[branch]
+        model = workloads.build_branches(1)[branch]
         model.zero_grads()
         model.forward(x, train=True)
         if interleave:
@@ -402,7 +404,7 @@ def test_eval_forward_between_forward_and_backward_keeps_grads(branch):
 def test_batch_predictions_match_row_by_row(branch, dtype):
     # float32 layers meet the same bound: a row's features do not depend on
     # the batch size, and the head after the float64 pool runs in float64
-    model = forecaster.build_branches(2)[branch]
+    model = workloads.build_branches(2)[branch]
     x = seeded_rng(2, "rows-x").normal(size=(64, 24, 13)).astype(dtype)
     rows = np.concatenate([model.forward(x[i:i + 1]) for i in range(len(x))])
     np.testing.assert_allclose(model.forward(x), rows, rtol=0, atol=1e-12)
@@ -413,7 +415,7 @@ def test_a_head_fit_on_float32_pooled_features_predicts_one_window_as_in_a_batch
     # pooled features, as perfbench's fit_head fits it, then 64 windows
     # against one window at a time, within 1e-4 demand standard deviations
     rng = seeded_rng(24, "head-fit")
-    model = forecaster.build_branches(24)["tr"]
+    model = workloads.build_branches(24)["tr"]
     x = rng.normal(size=(1024, 24, 13)).astype(np.float32)
     targets = x[:, :, 0].mean(axis=1) + 0.1 * rng.normal(size=len(x))
     trunk = nn.Sequential(model.sublayers[:-1])
@@ -441,7 +443,7 @@ def test_an_overlapping_window_view_gives_the_bits_of_its_copy(branch):
     dy = seeded_rng(20, "window-view-dy").normal(size=(64, 1))
     runs = []
     for x in (view, np.ascontiguousarray(view)):
-        model = forecaster.build_branches(20)[branch]
+        model = workloads.build_branches(20)[branch]
         out = model.forward(x)
         train_out = model.forward(x, train=True)
         model.zero_grads()
@@ -454,7 +456,7 @@ def test_every_cnn_param_gets_a_gradient():
     # a param whose gradient is rounding noise is still moved by Adam, about
     # lr a step: a Conv1d bias before BatchNorm got 4e-16 of the largest
     rng = seeded_rng(23, "live-grads")
-    model = forecaster.build_branches(23)["cnn"]
+    model = workloads.build_branches(23)["cnn"]
     model.forward(rng.normal(size=(64, 24, 13)), train=True)
     model.zero_grads()
     model.backward(rng.normal(size=(64, 1)))
@@ -495,7 +497,7 @@ def out_dtype(model, dtype):
 @pytest.mark.parametrize("branch", ["cnn", "tr"])
 def test_float32_inference_pools_to_float64_near_float64(branch):
     x = seeded_rng(3, "f32-x").normal(size=(64, 24, 13))
-    model = forecaster.build_branches(3)[branch]
+    model = workloads.build_branches(3)[branch]
     expected = model.forward(x)
     out = model.forward(x.astype(np.float32))
     assert out.dtype == np.float64
@@ -522,7 +524,7 @@ def models_and_inputs():
     rng = seeded_rng(15, "inputs-alone")
     for cls, (make, shape) in LEAF_LAYERS.items():
         yield cls.__name__, make(rng), shape
-    for branch, model in forecaster.build_branches(15).items():
+    for branch, model in workloads.build_branches(15).items():
         yield branch, model, (8, 24, 13)
     # chains that hand their input straight back: the skip must not add in place
     for rate in (0.0, 0.5):
@@ -581,7 +583,7 @@ def mixed_dtype_cases():
     for cls, (make, shape) in LEAF_LAYERS.items():
         yield pytest.param(make, shape, id=cls.__name__)
     for branch in ("cnn", "tr"):
-        yield pytest.param(lambda r, b=branch: forecaster.build_branches(18)[b], (8, 24, 13),
+        yield pytest.param(lambda r, b=branch: workloads.build_branches(18)[b], (8, 24, 13),
                            id=branch)
 
 

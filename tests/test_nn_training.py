@@ -6,32 +6,25 @@ and a Transformer with d_model 16, one encoder block and ff 32."""
 import dataclasses
 
 import numpy as np
-import pytest
 
-from gridcast import forecaster, ingest, nn, synthetic
+from gridcast import ingest, nn
 from gridcast.seeding import seeded_rng
+
+import workloads  # perfbench's: calibration, ramp pairs, the train step and its schedule
 
 SEED = 101
 STEPS = 300
-SPLIT = ingest.SplitSpec(train=("2024-01-01", "2024-10-01"), val=("2024-10-01", "2024-11-01"),
-                         test=("2024-11-01", "2025-01-01"))
-# On forecaster.train's epoch schedule, float32 windows move the CNN's val
-# MAE after these 300 steps by 0.33 %, 9e-7 and 0.30 % from the float64 run
-# at seeds 101, 7 and 0, and the Transformer's by under 3e-7; rounding the
+SCALE = workloads.Scale(1, ingest.SplitSpec(train=("2024-01-01", "2024-10-01"),
+                                            val=("2024-10-01", "2024-11-01"),
+                                            test=("2024-11-01", "2025-01-01")))
+# On the benchmark's epoch schedule, float32 windows move the CNN's val MAE
+# after these 300 steps by 0.33 %, 9e-7 and 0.30 % from the float64 run at
+# seeds 101, 7 and 0, and the Transformer's by under 3e-7; rounding the
 # float64 run's initial weights to float32 once moves either by under 3e-8.
 # The tolerance, 2 %, is six times the largest gap: room for a BLAS that
 # rounds the float32 steps differently, and a float32 path that computes
 # wrongly still fails it.
 VAL_MAE_RTOL = 0.02
-
-
-@pytest.fixture(scope="module")
-def tiny(tmp_path_factory):
-    """(standardizer, windows by split, calibration) of the 1-year set."""
-    data_dir = tmp_path_factory.mktemp("tiny")
-    cfg = synthetic.SyntheticConfig(seed=SEED, years=1, missing_rate=0.2)
-    synthetic.write_dataset(cfg, data_dir)
-    return forecaster.ingest_and_calibrate(data_dir, cfg.stations, SPLIT)
 
 
 def tiny_branches(seed, t=ingest.WINDOW_HOURS, n_in=ingest.N_FEATURES):
@@ -58,14 +51,17 @@ def as_float64(ws):
     return dataclasses.replace(ws, std_data=ws.std_data.astype(np.float64))
 
 
-def train(tiny, cast):
-    """Both branches after STEPS steps of forecaster.train on the train
-    windows passed through cast: (val MAE in MW by branch, the bytes of
-    every param by branch)."""
-    standardizer, windows, calibration = tiny
-    branches = tiny_branches(SEED)
-    forecaster.train(branches, cast(windows["train"]), standardizer, calibration, STEPS, SEED)
-    val = cast(windows["val"])
+def train(data_dir, cast):
+    """Both branches of tiny_branches after STEPS of the benchmark's train op
+    on the 1-year set written to data_dir, every window set passed through
+    cast: (val MAE in MW by branch, the bytes of every param by branch)."""
+    bench = workloads.Train()
+    state = bench.setup(SEED, SCALE, data_dir)
+    branches = state["branches"] = tiny_branches(SEED)
+    state["windows"] = {split: cast(ws) for split, ws in state["windows"].items()}
+    for i in range(STEPS):
+        assert bench.op(state, i) == (workloads.BATCH, True)
+    val, standardizer = state["windows"]["val"], state["standardizer"]
     mae = {branch: float(np.mean(np.abs(
         standardizer.destandardize_demand(model.forward(val.inputs)[:, 0]) - val.targets_mw)))
         for branch, model in branches.items()}
@@ -74,9 +70,9 @@ def train(tiny, cast):
     return mae, params
 
 
-def test_float32_windows_train_as_float64_within_rounding_and_repeat_exactly(tiny):
-    mae32, params32 = train(tiny, lambda ws: ws)
-    mae64, _ = train(tiny, as_float64)
+def test_float32_windows_train_as_float64_within_rounding_and_repeat_exactly(tmp_path):
+    mae32, params32 = train(tmp_path, lambda ws: ws)
+    mae64, _ = train(tmp_path, as_float64)
     for branch, want in mae64.items():
         assert abs(mae32[branch] - want) <= VAL_MAE_RTOL * want, (branch, mae32[branch], want)
-    assert train(tiny, lambda ws: ws)[1] == params32
+    assert train(tmp_path, lambda ws: ws)[1] == params32

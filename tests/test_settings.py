@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from gridcast import forecaster, nn, physics, synthetic
+from gridcast import nn, physics, synthetic
 from gridcast.errors import CalibrationError, ConfigError, check_int, check_real
 from gridcast.seeding import seeded_rng
 
@@ -30,11 +30,6 @@ class Setting(NamedTuple):
 
 def with_rng(cls):
     return lambda **kw: cls(**kw, rng=seeded_rng(0, "settings"))
-
-
-def train_settings(steps, seed):
-    """forecaster.train with no branches: the settings are checked first."""
-    return forecaster.train({}, None, None, None, steps, seed)
 
 
 def settings_of(site, build, valid, error=ConfigError, names=None, stored=None):
@@ -71,8 +66,6 @@ SETTINGS = [
                  dict(years=1, seed=3, missing_rate=0.25)),
     # 1.5 and True gave seed 1's stream; -1 raised a raw ValueError, inf an OverflowError
     *settings_of("seeded_rng", seeded_rng, dict(seed=0), stored={"seed": None}),
-    *settings_of("forecaster.train", train_settings, dict(steps=1, seed=0),
-                 stored={"steps": None, "seed": None}),
 ]
 NOT_NUMBERS = (True, np.True_, "1", None, math.nan, math.inf)
 BAD = [(s, bad) for s in SETTINGS
@@ -97,13 +90,6 @@ def test_numpy_typed_setting_is_stored_as_its_builtin_type(setting):
     built = setting.build(**{**setting.valid, setting.field: value})
     stored = getattr(built, setting.stored)
     assert type(stored) is kind and stored == value
-
-
-@pytest.mark.parametrize("label", [1, b"init", None], ids=["int", "bytes", "none"])
-def test_seeded_rng_rejects_a_label_that_is_not_a_str(label):
-    # each raised a raw AttributeError from the label's hashing
-    with pytest.raises(ConfigError, match="label must be a str"):
-        seeded_rng(0, "init", label)
 
 
 def test_check_int_bounds_and_type():
