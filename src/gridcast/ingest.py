@@ -126,6 +126,7 @@ N_FEATURES = len(FEATURE_COLUMNS)
 CONTINUOUS_COLUMNS = FEATURE_COLUMNS[:7]
 DEMAND, LAG24, AIR_TEMP = 0, 1, 2
 WEATHER_COLUMNS = FEATURE_COLUMNS[2:8]
+_CALENDAR = slice(FEATURE_COLUMNS.index("hour_of_day"), N_FEATURES)  # calendar_columns fills
 
 # present-weather category codes used in the wx_code CSV field
 WX_CODES = {"clear": 0, "rain": 1, "snow": 2, "fog": 3, "thunderstorm": 4, "other": 5}
@@ -603,13 +604,13 @@ def align_hourly(load, weather, stations):
     data[:, DEMAND] = load.demand_mw
     covered = 0
     # one weather column at a time; bincount sums each hour in record order
-    for j in range(len(WEATHER_COLUMNS)):
+    for j, name in enumerate(WEATHER_COLUMNS):
         vals = weather.values[records, j]
         ok = ~np.isnan(vals)
         hours = idx[ok]
         counts = np.bincount(hours, minlength=n)
         sums = np.bincount(hours, weights=vals[ok], minlength=n)
-        np.divide(sums, counts, out=data[:, 2 + j], where=counts > 0)
+        np.divide(sums, counts, out=data[:, FEATURE_COLUMNS.index(name)], where=counts > 0)
         covered += hours.size
     if not covered:
         raise AlignmentError("load and weather time ranges do not overlap")
@@ -680,7 +681,7 @@ def calendar_columns(timestamps, holidays):
 def encode_calendar(frame, holidays):
     """Fill the calendar columns of a copy of frame (see calendar_columns)."""
     out = frame.copy()
-    out.data[:, 8:13] = calendar_columns(out.timestamps, holidays)
+    out.data[:, _CALENDAR] = calendar_columns(out.timestamps, holidays)
     return out
 
 

@@ -8,6 +8,7 @@ hinge boundary is exactly zero.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,8 +44,7 @@ class ParabolicEnvelope:
 # data generation and spot checks.
 REFERENCE_ENVELOPE = ParabolicEnvelope(
     a1=47.2, b1=-1560.6, c1=51230.0, a2=52.4, b2=-864.5, c2=35523.9, t0_c=18.5)
-# The one calibration recipe: a bin with under MIN_BIN_COUNT points borrows a
-# neighbour's spread, and the floor keeps a band where residuals are flat.
+# The tolerance band settings; fit_tolerance states the recipe they enter.
 BIN_WIDTH_C = 2.0
 MIN_BIN_COUNT = 30
 SIGMA_FLOOR_MW = 1.0
@@ -67,12 +67,7 @@ def fit_envelope(temps, demands, t0_c):
     tolerance fit.
     """
     t0_c = check_real("t0_c", t0_c, error=CalibrationError)
-    temps = np.asarray(temps, dtype=float)
-    demands = np.asarray(demands, dtype=float)
-    if temps.shape != demands.shape or temps.ndim != 1:
-        raise CalibrationError("temps and demands must be equal-length vectors")
-    if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(demands))):
-        raise CalibrationError("temps and demands must be finite")
+    temps, demands = _calibration_vectors(1, temps=temps, demands=demands)
     cold = temps < t0_c
     n_cold, n_warm = int(cold.sum()), int((~cold).sum())
     if n_cold < 3 or n_warm < 3:
@@ -84,6 +79,37 @@ def fit_envelope(temps, demands, t0_c):
     env = ParabolicEnvelope(*_fit_per_segment(temps, demands, cold), t0_c=t0_c)
     residuals = demands - envelope_demand(env, temps)
     return env, residuals
+
+
+def _calibration_vectors(least, **named):
+    """The named arguments as 1-D float arrays of one length, at least `least`
+    long and all finite; anything else (text, ragged nesting, a dict, a
+    matrix) raises CalibrationError naming the arguments."""
+    names = " and ".join(named)
+    out = []
+    for name, value in named.items():
+        try:
+            a = np.asarray(value)
+        except (TypeError, ValueError):  # ragged nesting
+            a = np.asarray(None)
+        if a.dtype.kind not in "iuf":
+            raise CalibrationError(
+                f"{name} must be an array of real numbers, got {reprlib.repr(value)}")
+        out.append(a.astype(float, copy=False))
+    if any(a.ndim != 1 or a.size != out[0].size for a in out) or out[0].size < least:
+        kind = "a vector" if len(out) == 1 else "equal-length vectors"
+        shapes = " and ".join(str(a.shape) for a in out)
+        raise CalibrationError(f"{names} must hold {least}+ values and be {kind}, "
+                               f"got shape {shapes}")
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise CalibrationError(f"{names} must be finite")
+    return out
+
+
+def _bin_index(edges, t_c):
+    """The bin [e_i, e_{i+1}) of each temperature; one outside the edges
+    counts in the nearer end bin."""
+    return np.clip(np.searchsorted(edges, t_c, side="right") - 1, 0, edges.size - 2)
 
 
 def _quad_design(t):
@@ -105,80 +131,59 @@ def _fit_per_segment(temps, demands, cold):
 
 @dataclass(frozen=True)
 class ToleranceModel:
-    """Temperature-binned residual spread; the band half-width is 2*sigma.
-
-    Bins with too few points at fit time inherit the nearest populated bin's
-    sigma, and every sigma is clamped below by SIGMA_FLOOR_MW.
-    """
+    """Temperature-binned residual spread (see fit_tolerance); half-width 2*sigma."""
 
     bin_edges_c: np.ndarray
     sigma_mw: np.ndarray
 
     def __post_init__(self):
-        for name in ("bin_edges_c", "sigma_mw"):  # lists too, kept as float arrays
-            try:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-            except (TypeError, ValueError):
-                raise CalibrationError(f"{name} must be an array of real numbers, "
-                                       f"got {getattr(self, name)!r}") from None
-        edges, sigma = self.bin_edges_c, self.sigma_mw
-        if not (np.ndim(edges) == 1 and np.size(edges) >= 2 and np.all(np.isfinite(edges))
-                and np.all(np.diff(edges) > 0)):
-            raise CalibrationError(f"bin_edges_c must be finite, strictly increasing and "
-                                   f"1-D with >= 2 edges, got {edges!r}")
-        if np.shape(sigma) != (np.size(edges) - 1,):
-            raise CalibrationError(f"sigma_mw must hold one value per bin, got {np.shape(sigma)}")
-        if not (np.all(np.isfinite(sigma)) and np.all(sigma >= SIGMA_FLOOR_MW)):
-            raise CalibrationError(f"sigma_mw must be finite and >= {SIGMA_FLOOR_MW} MW")
-
-    def _bin_index(self, t_c):
-        idx = np.searchsorted(self.bin_edges_c, t_c, side="right") - 1
-        return np.clip(idx, 0, self.sigma_mw.size - 1)
+        # lists too, kept as float arrays
+        (edges,) = _calibration_vectors(2, bin_edges_c=self.bin_edges_c)
+        if not np.all(np.diff(edges) > 0):
+            raise CalibrationError(f"bin_edges_c must be strictly increasing, got {edges!r}")
+        (sigma,) = _calibration_vectors(1, sigma_mw=self.sigma_mw)
+        if sigma.size != edges.size - 1:
+            raise CalibrationError(f"sigma_mw must hold one value per bin, got {sigma.shape}")
+        if not np.all(sigma >= SIGMA_FLOOR_MW):
+            raise CalibrationError(f"sigma_mw must be >= {SIGMA_FLOOR_MW} MW")
+        object.__setattr__(self, "bin_edges_c", edges)
+        object.__setattr__(self, "sigma_mw", sigma)
 
     def sigma(self, t_c):
-        out = self.sigma_mw[self._bin_index(np.asarray(t_c, dtype=float))]
+        out = self.sigma_mw[_bin_index(self.bin_edges_c, np.asarray(t_c, dtype=float))]
         return float(out) if np.isscalar(t_c) else out
 
     def epsilon(self, t_c):
         """Band half-width: 2 * sigma at t_c's bin."""
-        s = self.sigma(t_c)
-        return 2.0 * s
+        return 2.0 * self.sigma(t_c)
 
 
 def fit_tolerance(temps, residuals):
-    """Per-bin population std of envelope residuals over the temp range."""
-    temps = np.asarray(temps, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    if temps.shape != residuals.shape or temps.ndim != 1:
-        raise CalibrationError("temps and residuals must be equal-length vectors")
-    if temps.size == 0:
-        raise CalibrationError("cannot fit tolerance on empty input")
-    if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(residuals))):
-        raise CalibrationError("temps and residuals must be finite")
+    """The tolerance band: per-bin population std of envelope residuals.
+
+    Bins are BIN_WIDTH_C wide and half-open, [e_i, e_{i+1}), on multiples of
+    the width spanning the temperatures; one outside them counts in the
+    nearer end bin. A bin with MIN_BIN_COUNT or more points keeps its
+    residuals' std; every other bin takes the nearest such bin's, the lower
+    bin winning a tie, or with none, the std of all residuals. SIGMA_FLOOR_MW
+    floors every sigma, keeping a band where residuals are flat.
+    """
+    temps, residuals = _calibration_vectors(1, temps=temps, residuals=residuals)
     lo = np.floor(temps.min() / BIN_WIDTH_C) * BIN_WIDTH_C
     hi = np.ceil(temps.max() / BIN_WIDTH_C) * BIN_WIDTH_C
     if hi <= lo:
         hi = lo + BIN_WIDTH_C
     edges = np.arange(lo, hi + BIN_WIDTH_C / 2, BIN_WIDTH_C)
     n_bins = edges.size - 1
-    idx = np.clip(np.searchsorted(edges, temps, side="right") - 1, 0, n_bins - 1)
-    sigma = np.full(n_bins, np.nan)
-    counts = np.zeros(n_bins, dtype=int)
-    for b in range(n_bins):
-        sel = idx == b
-        counts[b] = sel.sum()
-        if counts[b] >= MIN_BIN_COUNT:
-            sigma[b] = residuals[sel].std()
-    populated = np.flatnonzero(counts >= MIN_BIN_COUNT)
+    idx = _bin_index(edges, temps)
+    populated = np.flatnonzero(np.bincount(idx, minlength=n_bins) >= MIN_BIN_COUNT)
     if populated.size == 0:
-        # fall back to a single global bin
-        sigma[:] = residuals.std()
+        sigma = np.full(n_bins, residuals.std())
     else:
-        for b in np.flatnonzero(~np.isfinite(sigma)):
-            nearest = populated[np.argmin(np.abs(populated - b))]
-            sigma[b] = sigma[nearest]
-    sigma = np.maximum(sigma, SIGMA_FLOOR_MW)
-    return ToleranceModel(bin_edges_c=edges, sigma_mw=sigma)
+        own = np.array([residuals[idx == b].std() for b in populated])
+        # argmin takes the first, so the lower of two equally near bins
+        sigma = own[np.argmin(np.abs(np.arange(n_bins)[:, None] - populated), axis=1)]
+    return ToleranceModel(bin_edges_c=edges, sigma_mw=np.maximum(sigma, SIGMA_FLOOR_MW))
 
 
 @dataclass(frozen=True)
@@ -263,11 +268,5 @@ def composite_loss(pred_mw, target_mw, temp_c, pairs, env, tol, cfg):
 def estimate_delta_max(train_demand):
     """Empirical DELTA_MAX_PERCENTILE percentile (linear interpolation between
     order statistics) of absolute hour-over-hour first differences."""
-    y = np.asarray(train_demand, dtype=float)
-    if y.ndim != 1:
-        raise CalibrationError(f"train_demand must be a vector, got shape {y.shape}")
-    if y.size < 2:
-        raise CalibrationError("need at least 2 points to difference")
-    if not np.all(np.isfinite(y)):
-        raise CalibrationError("train_demand must be finite")
+    (y,) = _calibration_vectors(2, train_demand=train_demand)
     return float(np.percentile(np.abs(np.diff(y)), DELTA_MAX_PERCENTILE))

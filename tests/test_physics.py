@@ -397,6 +397,26 @@ class TestDeltaMax:
             physics.estimate_delta_max(series)
 
 
+TEMPS = np.linspace(0.0, 30.0, 40)
+FIT_ARGS = {  # valid keyword arguments of each calibration fit
+    "fit_envelope": {"temps": TEMPS, "demands": physics.envelope_demand(ENV, TEMPS),
+                     "t0_c": ENV.t0_c},
+    "fit_tolerance": {"temps": TEMPS, "residuals": np.ones(40)},
+    "estimate_delta_max": {"train_demand": np.arange(0, 1000, 100.0)},
+}
+
+
+@pytest.mark.parametrize("value", [["a"] * 40, [[1.0, 2.0], [3.0]], {"t": 1.0}],
+                         ids=["text", "ragged", "dict"])
+@pytest.mark.parametrize("fit, arg", [
+    ("fit_envelope", "temps"), ("fit_envelope", "demands"), ("fit_tolerance", "temps"),
+    ("fit_tolerance", "residuals"), ("estimate_delta_max", "train_demand")])
+def test_non_numeric_input_errors(fit, arg, value):
+    # text and ragged input raised a raw ValueError, a dict a raw TypeError
+    with pytest.raises(CalibrationError, match=f"^{arg} must be an array of real numbers"):
+        getattr(physics, fit)(**{**FIT_ARGS[fit], arg: value})
+
+
 def test_loss_config_validation():
     with pytest.raises(ConfigError):
         physics.PhysicsLossConfig(lambda1=-0.1)
