@@ -51,8 +51,9 @@ class ConfigError(GridcastError):
 
 
 class ShapeError(GridcastError):
-    """Tensor shape incompatible with a layer or operation, or a train-mode
-    input that is not floating point."""
+    """Tensor shape incompatible with a layer or operation, a gradient dict
+    whose keys or shapes do not match its parameters', or a train-mode input
+    that is not floating point."""
 
 
 class ArtifactError(GridcastError):

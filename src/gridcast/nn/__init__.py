@@ -43,6 +43,9 @@ float64 batches, runs in float64 throughout. The layer contract:
   tap-major, and one softmax: attention writes its scores into a key-major
   (T_k, B, n_heads, T_q) buffer and normalizes it over axis 0;
   attention_weights returns the (B, n_heads, T_q, T_k) view of that buffer.
+  The backward runs the softmax gradient in the same key-major layout: it
+  writes V dctx^T into a new key-major buffer, sums over keys on axis 0,
+  and reads dq and dk through transposed views.
 - Conv1d is bias-free: every Conv1d feeds a BatchNorm1d, whose batch mean
   cancels a per-channel constant, so a bias there would get only rounding
   noise as its gradient. Dense is the one layer that is an affine map with a

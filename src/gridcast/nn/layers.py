@@ -41,11 +41,12 @@ def _affine(x, w, b):
 def _affine_backward(x, dy, w, gw, gb=None):
     """Backward of y = x @ w (+ b) over the last axis: adds dL/dw to gw and
     dL/db to gb, if given; returns dL/dx in x's dtype, the dtype dy is cast
-    to. Every product is 2-D, which BLAS runs fastest."""
+    to. Every product is 2-D, which BLAS runs fastest, the bias sum too: one
+    GEMV of a row of ones with dy."""
     dy2 = dy.astype(x.dtype, copy=False).reshape(-1, w.shape[1])
     gw += x.reshape(-1, w.shape[0]).T @ dy2
     if gb is not None:
-        gb += dy2.sum(axis=0)
+        gb += np.ones(len(dy2), dtype=dy2.dtype) @ dy2
     return (dy2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
 
 
@@ -247,15 +248,19 @@ class _Norm(Layer):
         return y, mean, var
 
     def backward(self, dy):
+        """inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) for
+        dxhat = dy * gamma, in place on dxhat. The subclass's _grad_means
+        gives the two means from dy and dy * xhat, the arrays the beta and
+        gamma gradients are summed from, without a reduction over dxhat."""
         xhat, inv, gamma = self._cache
-        tmp = dy * xhat
-        self.grads["gamma"] += tmp.sum(axis=(0, 1))
-        self.grads["beta"] += dy.sum(axis=(0, 1))
-        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on dxhat
+        dyx = dy * xhat
+        sum_dy, sum_dyx = dy.sum(axis=(0, 1)), dyx.sum(axis=(0, 1))
+        self.grads["gamma"] += sum_dyx
+        self.grads["beta"] += sum_dy
+        m, mx = self._grad_means(dy, dyx, gamma, sum_dy, sum_dyx)
         dx = dy * gamma
-        mx = self._mean_of_product(dx, xhat)
-        dx -= dx.mean(axis=self.axes, keepdims=True)
-        dx -= np.multiply(xhat, mx, out=tmp)
+        dx -= m
+        dx -= np.multiply(xhat, mx, out=dyx)
         dx *= inv
         return dx
 
@@ -273,6 +278,12 @@ class BatchNorm1d(_Norm):
     def __init__(self, width):
         super().__init__(width)
         self.buffers = {"running_mean": np.zeros(width), "running_var": np.ones(width)}
+
+    def _grad_means(self, dy, dyx, gamma, sum_dy, sum_dyx):
+        """mean(dy * gamma) and mean(dy * gamma * xhat) per channel: gamma
+        times the beta and gamma gradient sums over the n = B·T rows."""
+        n = dy.shape[0] * dy.shape[1]
+        return gamma * sum_dy / n, gamma * sum_dyx / n
 
     def forward(self, x, train=False):
         run_mean, run_var = self.buffers["running_mean"], self.buffers["running_var"]
@@ -410,6 +421,13 @@ class LayerNorm(_Norm):
     def forward(self, x, train=False):
         return self._normalize(x, train)[0]
 
+    def _grad_means(self, dy, dyx, gamma, sum_dy, sum_dyx):
+        """mean(dy * gamma) and mean(dy * gamma * xhat) per row: one GEMV each
+        of the (B·T, d) views with gamma, kept as a size-1 last axis."""
+        rows = (*dy.shape[:2], 1)
+        return ((dy.reshape(-1, self.width) @ gamma).reshape(rows) / self.width,
+                (dyx.reshape(-1, self.width) @ gamma).reshape(rows) / self.width)
+
 
 class MultiHeadSelfAttention(Layer):
     """Scaled dot-product self-attention with n_heads and output projection.
@@ -423,7 +441,8 @@ class MultiHeadSelfAttention(Layer):
     written by K Q^T and normalized over axis 0, so each softmax step is a
     few whole-vector operations rather than one reduction per row;
     attention_weights and the products with V read it through its
-    (B, n_heads, T_q, T_k) transposed view.
+    (B, n_heads, T_q, T_k) transposed view. The backward's softmax gradient
+    lives in a second buffer of the same layout.
     """
 
     def __init__(self, d_model, n_heads, rng):
@@ -484,19 +503,23 @@ class MultiHeadSelfAttention(Layer):
     def backward(self, dy):
         x, q, k, v, attn, ctx, wqkv, wo = self._cache
         g = self.grads
-        d = self.d_model
-        dctx = self._split(_affine_backward(ctx, dy, wo, g["Wo"], g["bo"]))[0]
+        dctx_merged = _affine_backward(ctx, dy, wo, g["Wo"], g["bo"])
+        dctx = self._split(dctx_merged)[0]
         # dq | dk | dv, each head written straight into its place in one buffer
-        dqkv = np.empty((*x.shape[:2], 3 * d), dtype=dctx.dtype)
+        dqkv = np.empty((*x.shape[:2], 3 * self.d_model), dtype=dctx.dtype)
         dq, dk, dv = self._split(dqkv)
         np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
-        # softmax backward, dS = A * (dA - sum(dA * A)), in place on dA
-        dscores = dctx @ v.transpose(0, 1, 3, 2)
-        dscores -= np.einsum("...ij,...ij->...i", dscores, attn)[..., None]
-        dscores *= attn
-        np.matmul(dscores, k, out=dq)
-        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
-        dqkv[..., : 2 * d] *= self.scale
+        # with dv taken, dctx carries 1/sqrt(d_k) into dq and dk, scaled once
+        dctx_merged *= self.scale
+        # softmax backward, dS = A * (dA - sum(dA * A)), in the forward's
+        # key-major layout: ds[j, b, h, i] and a[j, b, h, i] for key j, query i
+        a = attn.transpose(3, 0, 1, 2)
+        ds = np.empty(a.shape, dtype=dctx.dtype)
+        np.matmul(v, dctx.transpose(0, 1, 3, 2), out=ds.transpose(1, 2, 0, 3))
+        ds -= np.einsum("jbhi,jbhi->bhi", ds, a)
+        ds *= a
+        np.matmul(ds.transpose(1, 2, 3, 0), k, out=dq)
+        np.matmul(ds.transpose(1, 2, 0, 3), q, out=dk)
         return _affine_backward(x, dqkv, wqkv, g["Wqkv"], g["bqkv"])
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import check_real
+from ..errors import ShapeError, check_real
 
 
 @dataclass
@@ -24,7 +24,21 @@ class Adam:
             setattr(self, name, check_real(name, getattr(self, name), 0.0, lo_open=True))
 
     def step(self, params, grads):
-        """One update: params[k] -= lr * m_hat / (sqrt(v_hat) + eps)."""
+        """One update: params[k] -= lr * m_hat / (sqrt(v_hat) + eps).
+
+        grads must hold a gradient of its parameter's shape for each key of
+        params and no other key; otherwise ShapeError names the key and
+        nothing is updated."""
+        if grads.keys() != params.keys():
+            for key in params:
+                if key not in grads:
+                    raise ShapeError(f"parameter {key!r} has no gradient")
+            extra = next(key for key in grads if key not in params)
+            raise ShapeError(f"gradient {extra!r} has no parameter")
+        for key, p in params.items():
+            if np.shape(grads[key]) != p.shape:
+                raise ShapeError(f"gradient {key!r} has shape {np.shape(grads[key])}, "
+                                 f"its parameter {p.shape}")
         self.step_count += 1
         t = self.step_count
         for key, p in params.items():

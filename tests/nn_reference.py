@@ -8,10 +8,11 @@ and backward with `x.var`, the row softmax and attention context with a
 merging copy, attention's backward with one gradient per projection,
 BatchNorm1d in train mode with `x.var` and the `n * dxhat - ...` backward,
 BatchNorm1d in inference mode with gamma applied after the scale, the Dense
-affine map, Conv1d as im2col (`np.pad` plus a sliding view), MaxPool1d
-by `argmax` over each pair and `put_along_axis`, and Dropout by a float64
-mask. The property tests in
-test_nn_properties.py hold the layers to them.
+affine map and its gradients with the bias summed by `sum`, Conv1d as
+im2col (`np.pad` plus a sliding view), MaxPool1d by `argmax` over each pair
+and `put_along_axis`, Dropout by a float64 mask, and one Adam step on fresh
+arrays. The property tests in test_nn_properties.py and test_nn_optim.py
+hold the layers and the optimizer to them.
 """
 
 import numpy as np
@@ -19,6 +20,27 @@ import numpy as np
 
 def dense(x, w, b):
     return x @ w + b
+
+
+def dense_backward(x, w, dy):
+    """(dx, dW, db) of Dense for upstream gradient dy, over the (rows, width)
+    views of a 2-D or 3-D batch."""
+    x2 = x.reshape(-1, w.shape[0])
+    dy2 = dy.reshape(-1, w.shape[1])
+    dx = (dy2 @ w.T).reshape(x.shape)
+    return dx, x2.T @ dy2, dy2.sum(axis=0)
+
+
+def adam_step(p, g, m, v, t, lr, beta1, beta2, eps):
+    """(p, m, v) after Adam's step number t from moments m and v."""
+    m = beta1 * m
+    m = m + (1 - beta1) * g
+    v = beta2 * v
+    v = v + (1 - beta2) * g * g
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v
 
 
 def layer_norm(x, gamma, beta, eps):

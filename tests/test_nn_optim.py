@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import nn_reference as ref
 from gridcast import nn
-from gridcast.errors import ArtifactError, ConfigError
+from gridcast.errors import ArtifactError, ConfigError, ShapeError
 from gridcast.seeding import seeded_rng
 
 
@@ -54,6 +55,64 @@ def test_bad_betas_rejected():
     ]:
         with pytest.raises(ConfigError, match=f"^{name} must"):
             nn.Adam(**setting)
+
+
+@pytest.mark.parametrize("grads, match", [
+    # a raw KeyError
+    pytest.param({"w": np.ones(3)}, "parameter 'b' has no gradient", id="missing-key"),
+    # ignored
+    pytest.param({"w": np.ones(3), "b": np.ones(2), "x": np.ones(1)},
+                 "gradient 'x' has no parameter", id="extra-key"),
+    # a raw ValueError from the in-place update
+    pytest.param({"w": np.ones((3, 1)), "b": np.ones(2)},
+                 "gradient 'w' has shape (3, 1), its parameter (3,)", id="column-gradient"),
+    # broadcast, so every entry took the same step
+    pytest.param({"w": np.array(1.0), "b": np.ones(2)},
+                 "gradient 'w' has shape (), its parameter (3,)", id="0-d-gradient"),
+])
+def test_step_rejects_grads_that_do_not_match_the_params(grads, match):
+    params = {"w": np.array([1.0, -2.0, 3.0]), "b": np.zeros(2)}
+    opt = nn.Adam(lr=0.1)
+    with pytest.raises(ShapeError, match=f"^{re.escape(match)}$"):
+        opt.step(params, grads)
+    # nothing was updated
+    assert opt.step_count == 0
+    np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
+    np.testing.assert_array_equal(params["b"], [0.0, 0.0])
+
+
+# any float64 up to 1e300, whose square overflows, with both signed zeros
+adam_values = st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 0.0, -1e300, 1e300])
+unit_open = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       shapes=st.lists(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+                       min_size=1, max_size=3),
+       steps=st.integers(1, 5), lr=unit_open, eps=unit_open,
+       beta1=st.floats(0.0, 1.0, exclude_max=True), beta2=st.floats(0.0, 1.0, exclude_max=True))
+def test_adam_gives_the_reference_bytes_and_leaves_grads_unchanged(
+        data, shapes, steps, lr, eps, beta1, beta2):
+    def draw(shape, label):
+        return data.draw(arrays(np.float64, shape, elements=adam_values), label=label)
+
+    params = {f"p{i}": draw(shape, f"p{i}") for i, shape in enumerate(shapes)}
+    # per key: the reference's (p, m, v)
+    expected = {key: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for key, p in params.items()}
+    opt = nn.Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    for t in range(1, steps + 1):
+        grads = {key: draw(p.shape, f"{key} gradient, step {t}") for key, p in params.items()}
+        sent = {key: g.copy() for key, g in grads.items()}
+        # g * g overflows and an infinite m_hat over an infinite root is NaN:
+        # both sides must still agree to the bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt.step(params, grads)
+            expected = {key: ref.adam_step(p, sent[key], m, v, t, lr, beta1, beta2, eps)
+                        for key, (p, m, v) in expected.items()}
+        for key, p in params.items():
+            assert p.tobytes() == np.asarray(expected[key][0]).tobytes(), (key, t)
+            assert grads[key].tobytes() == sent[key].tobytes(), (key, t)
 
 
 def test_checkpoint_roundtrip_and_determinism(tmp_path):

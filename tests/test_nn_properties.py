@@ -291,6 +291,32 @@ def test_dense_matches_reference(b, t, d_in, d_out, seed, scale):
 
 
 @examples
+@given(b=batches, t=steps, d_in=st.integers(1, 16), d_out=st.integers(1, 16), seed=seeds,
+       scale=scales)
+def test_dense_backward_matches_reference(b, t, d_in, d_out, seed, scale):
+    dense = nn.Dense(d_in, d_out, seeded_rng(seed, "dense"))
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(b, t, d_in))
+    for rows in (x, x[:, 0]):
+        dy = rng.normal(size=(*rows.shape[:-1], d_out))
+        dense.zero_grads()
+        dense.forward(rows, train=True)
+        dx = dense.backward(dy)
+        dx_ref, dw_ref, db_ref = ref.dense_backward(rows, dense.params["W"], dy)
+        # the same 2-D products; only the bias sum runs another order, n rows
+        np.testing.assert_array_equal(dx, dx_ref)
+        np.testing.assert_array_equal(dense.grads["W"], dw_ref)
+        n = dy.size // d_out
+        ady = np.abs(dy).reshape(n, d_out)
+        assert np.all(np.abs(dense.grads["b"] - db_ref) <= n * EPS * ady.sum(axis=0))
+        # without zero_grads a second backward adds the same gradient again
+        first = {name: g.copy() for name, g in dense.grads.items()}
+        np.testing.assert_array_equal(dense.backward(dy), dx)
+        for name, g in first.items():
+            np.testing.assert_array_equal(dense.grads[name], 2 * g)
+
+
+@examples
 @given(data=st.data(), b=batches, kernel=st.sampled_from([1, 3, 5]), c_in=st.integers(1, 8),
        c_out=st.integers(1, 8), seed=seeds, scale=scales)
 def test_conv1d_matches_im2col_reference(data, b, kernel, c_in, c_out, seed, scale):
