@@ -536,7 +536,8 @@ class AlignedFrame:
     """Hourly feature table; data is (N, 13) in FEATURE_COLUMNS order.
 
     A NaN cell has not been observed, imputed or derived yet. Timestamps
-    are strictly increasing; rows are hourly except across dropped gaps.
+    strictly increase, or OrderingError names the first that does not;
+    rows are hourly except across dropped gaps.
     """
 
     timestamps: np.ndarray
@@ -546,10 +547,7 @@ class AlignedFrame:
         if self.data.shape != (self.timestamps.size, N_FEATURES):
             raise ShapeError(
                 f"frame data must be ({self.timestamps.size}, {N_FEATURES}), got {self.data.shape}")
-        if self.timestamps.size > 1:
-            diffs = np.diff(self.timestamps)
-            if np.any(diffs <= np.timedelta64(0, "s")):
-                raise OrderingError("frame timestamps must be strictly increasing")
+        _check_increasing(self.timestamps)
 
     def __len__(self):
         return self.timestamps.size
@@ -564,16 +562,6 @@ class AlignedFrame:
 
     def copy(self):
         return AlignedFrame(self.timestamps.copy(), self.data.copy())
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Missing run that imputation left unfilled."""
-
-    column: str
-    start_ts: np.datetime64
-    length: int
-    reason: str  # "boundary" | "exceeds_max_gap"
 
 
 def align_hourly(load, weather, stations):
@@ -632,7 +620,10 @@ def impute_linear(frame):
     and within an hourly segment. Longer runs and runs that begin or end a
     segment are reported, not filled.
 
-    Returns (new_frame, [GapReport...]). Idempotent.
+    Returns (new_frame, reports), one dict per unfilled run in column
+    order: {"column": name, "start": its first timestamp as
+    format_timestamp gives it, "length": hours, "reason": "boundary" or
+    "exceeds_max_gap"}. Idempotent.
     """
     out = frame.copy()
     seg_start = _hours_into_segment(frame.timestamps) == 0
@@ -652,7 +643,8 @@ def impute_linear(frame):
                 frac = np.arange(1, length + 1) / (right - left)
                 vals[start:right] = vals[left] + (vals[right] - vals[left]) * frac
                 continue
-            reports.append(GapReport(col_name, frame.timestamps[start], length, reason))
+            reports.append({"column": col_name, "start": format_timestamp(frame.timestamps[start]),
+                            "length": length, "reason": reason})
     return out, reports
 
 
@@ -870,13 +862,15 @@ def make_windows(frame, standardizer, split):
         targets_idx = sel[_hours_into_segment(frame.timestamps[sel]) >= WINDOW_HOURS]
         if not targets_idx.size:
             raise WindowError(f"split {tag!r} is shorter than 25 contiguous hours")
+        # integer-array indexing copies, so no target shares the frame's memory
+        targets_mw = frame.data[targets_idx, DEMAND]
         out[tag] = WindowSet(
             std_data=std_data,
             starts=targets_idx - WINDOW_HOURS,
-            targets_mw=frame.data[targets_idx, DEMAND].copy(),
-            targets_std=standardizer.standardize_demand(frame.data[targets_idx, DEMAND]),
-            target_timestamps=frame.timestamps[targets_idx].copy(),
-            target_air_temp_c=frame.data[targets_idx, AIR_TEMP].copy(),
+            targets_mw=targets_mw,
+            targets_std=standardizer.standardize_demand(targets_mw),
+            target_timestamps=frame.timestamps[targets_idx],
+            target_air_temp_c=frame.data[targets_idx, AIR_TEMP],
         )
     return out
 
@@ -884,19 +878,15 @@ def make_windows(frame, standardizer, split):
 def build_frame(load, weather, stations, holidays):
     """Full ingest chain: align, impute, drop unfilled, encode, lag.
 
-    Returns (frame, report dict).
+    Returns (frame, report dict); its "unfilled_runs" are impute_linear's.
     """
     frame = align_hourly(load, weather, stations)
-    frame, gap_reports = impute_linear(frame)
+    frame, unfilled_runs = impute_linear(frame)
     frame, dropped_ts = drop_unfilled_rows(frame)
     frame = encode_calendar(frame, holidays)
     frame, lag_dropped = add_lag_feature(frame)
     report = {
-        "unfilled_runs": [
-            {"column": g.column, "start": format_timestamp(g.start_ts),
-             "length": g.length, "reason": g.reason}
-            for g in gap_reports
-        ],
+        "unfilled_runs": unfilled_runs,
         "dropped_hours": [format_timestamp(t) for t in dropped_ts],
         "lag_warmup_rows_dropped": lag_dropped,
     }

@@ -1,19 +1,20 @@
 """Minimal differentiable compute: numpy layers with manual reverse-mode
 gradients, an Adam optimizer, and a deterministic checkpoint format.
 
-One dtype rule holds in both modes: a layer computes in its batch's dtype
-around float64 master weights. forward(x, train) casts each layer's params
-and buffers (BatchNorm1d's running statistics, PositionalEncodingAdd's
-table) to x's dtype once per call; a train-mode forward keeps the casts for
-backward, which returns gradients in that dtype. The one exception is
-GlobalAvgPool: it accumulates its mean in float64 and returns float64, so
-a float32 batch runs every per-step layer in float32 and the head after
-the pool, any least-squares fit on the pooled features, the fusion and the
-metrics in float64; its backward casts the gradient back to its input's
-dtype. An affine backward casts its incoming dy to its cached input's
-dtype. Param gradients are added to the float64 `grads`, so Adam, the
-params and the checkpoint stay float64, and a gradient check, which feeds
-float64 batches, runs in float64 throughout. The layer contract:
+One dtype rule holds in both modes: a layer takes a floating-point batch
+and computes in its dtype around float64 master weights. forward(x, train)
+casts each layer's params and buffers (BatchNorm1d's running statistics,
+PositionalEncodingAdd's table) to x's dtype once per call; a train-mode
+forward keeps the casts for backward, which returns gradients in that
+dtype. The one exception is GlobalAvgPool's output: it accumulates its
+mean in float64 and returns float64, so a float32 batch runs every
+per-step layer in float32 and the head after the pool, any least-squares
+fit on the pooled features, the fusion and the metrics in float64; its
+backward casts the gradient back to its input's dtype. An affine backward
+casts its incoming dy to its cached input's dtype. Param gradients are
+added to the float64 `grads`, so Adam, the params and the checkpoint stay
+float64, and a gradient check, which feeds float64 batches, runs in
+float64 throughout. The layer contract:
 
 - forward(x, train=True) caches whatever backward() needs; backward() uses
   the cache of the last train-mode forward.
@@ -53,11 +54,9 @@ float64 batches, runs in float64 throughout. The layer contract:
 - A constructor checks its sizes and rates by the number rule of
   gridcast.errors (check_int, check_real): ConfigError names the argument.
 - A leaf layer raises ShapeError, naming the expected and the actual shape,
-  for an input of the wrong rank or width. A forward, in either mode, that
-  would cast params or buffers to its input's dtype, and Dropout's, raises
-  ShapeError naming the dtype for an input that is not floating point;
-  ReLU, MaxPool1d and GlobalAvgPool are exact on integers and bools and
-  take them.
+  for an input of the wrong rank or width. Every forward, in either mode,
+  takes floating-point input only: for any other dtype, integers and bools
+  included, it raises ShapeError naming the dtype.
 """
 
 from .layers import (

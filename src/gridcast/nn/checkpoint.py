@@ -1,5 +1,6 @@
 """Deterministic checkpoint container, format 3: a signed JSON header plus
-raw float64 blobs.
+raw float64 blobs. It holds float tensors only, as params, buffers and
+Adam's moments are; a count such as Adam's step_count goes in meta.
 
 Layout: the magic line, a line holding the SHA-256 hex digest of every byte
 after it, one JSON header line {"meta": {...}, "tensors": [{"name", "shape"}]}
@@ -32,13 +33,8 @@ def _check_contents(tensors, meta):
             arr = np.asarray(value)
         except ValueError as exc:  # a ragged nesting of sequences
             raise ConfigError(f"checkpoint tensor {name!r} is not an array ({exc})") from None
-        if arr.dtype.kind not in "biuf":
-            raise ConfigError(f"checkpoint tensor {name!r} has dtype {arr.dtype}, "
-                              f"not bool, integer or float")
-        # as Python ints: a uint64 compares equal to its float64 rounding
-        if arr.dtype.kind in "iu" and arr.size and max(-int(arr.min()), int(arr.max())) > 2**53:
-            raise ConfigError(f"checkpoint tensor {name!r} holds an integer beyond "
-                              f"2**53, which float64 would round")
+        if arr.dtype.kind != "f":
+            raise ConfigError(f"checkpoint tensor {name!r} has dtype {arr.dtype}, not float")
     if not isinstance(meta, dict):
         raise ConfigError(f"checkpoint meta must be a dict, got {type(meta).__name__}")
     try:
@@ -50,11 +46,11 @@ def _check_contents(tensors, meta):
 
 
 def save_checkpoint(path, tensors, meta=None):
-    """Write named arrays as float64 and a JSON meta dict. Raises
+    """Write named float arrays as float64 and a JSON meta dict. Raises
     ConfigError, before the file is opened, for a tensor name that is not a
-    str, a tensor that is not bool, integer or float, an integer float64
-    would round (beyond 2**53 in magnitude), or meta that is not a dict
-    JSON holds exactly (no NaN or infinity, str keys)."""
+    str, a tensor that is not float (bool and integer ones included), or
+    meta that is not a dict JSON holds exactly (no NaN or infinity, str
+    keys)."""
     meta = {} if meta is None else meta
     _check_contents(tensors, meta)
     arrays = {name: np.asarray(tensors[name], dtype="<f8") for name in sorted(tensors)}

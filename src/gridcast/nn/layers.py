@@ -51,9 +51,9 @@ def _affine_backward(x, dy, w, gw, gb=None):
 
 
 def _check_floating(x):
-    """ShapeError, naming the dtype, for an input that is not floating point:
-    a forward computes in its input's dtype, in either mode, which would
-    truncate the params, the positional table or Dropout's scale."""
+    """ShapeError, naming the dtype, for an input that is not floating point,
+    which no forward takes: a forward computes in its input's dtype, which
+    would truncate the params, the positional table or Dropout's scale."""
     if x.dtype.kind != "f":
         raise ShapeError(f"this layer's forward needs floating-point input, got dtype {x.dtype}")
 
@@ -153,6 +153,7 @@ class Dense(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
+        _check_floating(x)
         if train:
             self._mask = x > 0
         return np.maximum(x, 0.0)
@@ -314,6 +315,7 @@ class MaxPool1d(Layer):
         t = x.shape[1]
         if t < 2:
             raise ShapeError(f"maxpool needs T >= 2, got T={t}")
+        _check_floating(x)
         end = 2 * (t // 2)
         first, second = x[:, 0:end:2], x[:, 1:end:2]
         if train:
@@ -332,15 +334,15 @@ class MaxPool1d(Layer):
 
 class GlobalAvgPool(Layer):
     """(B, T, C) -> (B, C) mean over time, accumulated and returned in float64
-    for any input dtype, so the head and a least-squares fit on it run in
-    float64; backward returns a floating input's dtype, float64 otherwise."""
+    for a batch of any floating dtype, so the head and a least-squares fit on
+    it run in float64; backward returns the input's dtype."""
 
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ShapeError(f"global average pool expects (B, T, C), got {x.shape}")
+        _check_floating(x)
         if train:
-            self._t = x.shape[1]
-            self._dtype = x.dtype if x.dtype.kind == "f" else np.float64
+            self._t, self._dtype = x.shape[1], x.dtype
         return x.mean(axis=1, dtype=np.float64)
 
     def backward(self, dy):
@@ -348,7 +350,8 @@ class GlobalAvgPool(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train mode masks and rescales by 1/(1-rate).
+    """Inverted dropout: train mode draws a keep-mask, at rate 0 too, and
+    rescales by 1/(1-rate); eval mode returns its input as it is.
 
     The cached keep-mask is bool, one byte an element; forward and backward
     multiply by it and then rescale in place, which gives the same bits as
@@ -364,15 +367,13 @@ class Dropout(Layer):
         _check_floating(x)
         if not train:
             return x
-        self._mask = self.rng.random(x.shape) < 1.0 - self.rate if self.rate else None
+        self._mask = self.rng.random(x.shape) < 1.0 - self.rate
         return self._masked(x)
 
     def backward(self, dy):
         return self._masked(dy)
 
     def _masked(self, a):
-        if self._mask is None:
-            return a
         out = np.multiply(a, self._mask)
         out *= 1.0 / (1.0 - self.rate)
         return out

@@ -5,6 +5,11 @@ gradients.
 All quantities here live in physical units: degrees Celsius and megawatts.
 Both penalties are squared hinges, so they are C^1 and their gradient at the
 hinge boundary is exactly zero.
+
+Arrays in, arrays out: envelope_demand and ToleranceModel.sigma/epsilon keep
+the shape of their temperatures; the penalties take 1-D batches of one
+length. Input that is not real numbers, or a batch of another shape, raises
+ConfigError naming the argument; values are not checked, so NaN gives NaN.
 """
 
 import math
@@ -52,12 +57,11 @@ DELTA_MAX_PERCENTILE = 99.5
 
 
 def envelope_demand(env, t_c):
-    """Expected demand (MW) at temperature t_c (scalar or array)."""
-    t = np.asarray(t_c, dtype=float)
+    """Expected demand (MW) at each temperature of the array t_c, in its shape."""
+    t = _real_array("t_c", t_c, ConfigError)
     cold = env.a1 * t * t + env.b1 * t + env.c1
     warm = env.a2 * t * t + env.b2 * t + env.c2
-    out = np.where(t < env.t0_c, cold, warm)
-    return float(out) if np.isscalar(t_c) else out
+    return np.where(t < env.t0_c, cold, warm)
 
 
 def fit_envelope(temps, demands, t0_c):
@@ -81,28 +85,36 @@ def fit_envelope(temps, demands, t0_c):
     return env, residuals
 
 
-def _calibration_vectors(least, **named):
+def _real_array(name, value, error):
+    """value as a float array of its shape; anything but real numbers (text,
+    ragged nesting, a dict) raises `error` naming `name`."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise error(f"{name} must be an array of real numbers, got {reprlib.repr(value)}")
+    return a.astype(float, copy=False)
+
+
+def _vectors(error, least, **named):
     """The named arguments as 1-D float arrays of one length, at least `least`
-    long and all finite; anything else (text, ragged nesting, a dict, a
-    matrix) raises CalibrationError naming the arguments."""
-    names = " and ".join(named)
-    out = []
-    for name, value in named.items():
-        try:
-            a = np.asarray(value)
-        except (TypeError, ValueError):  # ragged nesting
-            a = np.asarray(None)
-        if a.dtype.kind not in "iuf":
-            raise CalibrationError(
-                f"{name} must be an array of real numbers, got {reprlib.repr(value)}")
-        out.append(a.astype(float, copy=False))
+    long; anything else (text, ragged nesting, a dict, a matrix) raises
+    `error` naming the arguments."""
+    out = [_real_array(name, value, error) for name, value in named.items()]
     if any(a.ndim != 1 or a.size != out[0].size for a in out) or out[0].size < least:
         kind = "a vector" if len(out) == 1 else "equal-length vectors"
         shapes = " and ".join(str(a.shape) for a in out)
-        raise CalibrationError(f"{names} must hold {least}+ values and be {kind}, "
-                               f"got shape {shapes}")
+        raise error(f"{' and '.join(named)} must hold {least}+ values and be {kind}, "
+                    f"got shape {shapes}")
+    return out
+
+
+def _calibration_vectors(least, **named):
+    """_vectors under CalibrationError, and every value finite."""
+    out = _vectors(CalibrationError, least, **named)
     if not all(np.all(np.isfinite(a)) for a in out):
-        raise CalibrationError(f"{names} must be finite")
+        raise CalibrationError(f"{' and '.join(named)} must be finite")
     return out
 
 
@@ -150,11 +162,11 @@ class ToleranceModel:
         object.__setattr__(self, "sigma_mw", sigma)
 
     def sigma(self, t_c):
-        out = self.sigma_mw[_bin_index(self.bin_edges_c, np.asarray(t_c, dtype=float))]
-        return float(out) if np.isscalar(t_c) else out
+        """sigma_mw at each temperature's bin, an array of t_c's shape."""
+        return self.sigma_mw[_bin_index(self.bin_edges_c, _real_array("t_c", t_c, ConfigError))]
 
     def epsilon(self, t_c):
-        """Band half-width: 2 * sigma at t_c's bin."""
+        """Band half-width: 2 * sigma at each temperature's bin."""
         return 2.0 * self.sigma(t_c)
 
 
@@ -212,10 +224,7 @@ def parabolic_penalty(pred_mw, temp_c, env, tol):
     loss = mean_i max(0, |pred_i - D(T_i)| - eps(T_i))^2. The gradient with
     respect to pred is zero strictly inside (and exactly on) the band.
     """
-    pred = np.asarray(pred_mw, dtype=float)
-    temp = np.asarray(temp_c, dtype=float)
-    if pred.shape != temp.shape:
-        raise ConfigError("pred and temp must have equal length")
+    pred, temp = _vectors(ConfigError, 1, pred_mw=pred_mw, temp_c=temp_c)
     return _squared_hinge(pred - envelope_demand(env, temp), tol.epsilon(temp))
 
 
@@ -226,7 +235,7 @@ def ramp_penalty(pred_mw, delta_max, pairs):
     hours, earlier first, as an integer (k, 2) array; a batch in any order
     names them explicitly. With no pairs the loss is 0 by convention.
     """
-    pred = np.asarray(pred_mw, dtype=float)
+    (pred,) = _vectors(ConfigError, 1, pred_mw=pred_mw)
     pairs = np.asarray(pairs)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
         raise ConfigError(
@@ -245,19 +254,17 @@ def ramp_penalty(pred_mw, delta_max, pairs):
 def composite_loss(pred_mw, target_mw, temp_c, pairs, env, tol, cfg):
     """MSE + lambda1 * band penalty + lambda2 * ramp penalty, all in MW.
 
+    pred_mw, target_mw and temp_c are 1-D, non-empty and of one length.
     Returns (loss, grad wrt pred, components dict). The components are the
     unweighted term values.
     """
-    pred = np.asarray(pred_mw, dtype=float)
-    target = np.asarray(target_mw, dtype=float)
-    if pred.size == 0 or pred.shape != target.shape:
-        raise ConfigError(f"pred_mw {pred.shape} and target_mw {target.shape} must be "
-                          "non-empty and of equal shape")
+    pred, target, temp = _vectors(ConfigError, 1, pred_mw=pred_mw, target_mw=target_mw,
+                                  temp_c=temp_c)
     n = pred.size
     err = pred - target
     mse = float(np.mean(err ** 2))
     grad = 2.0 * err / n
-    par_loss, par_grad = parabolic_penalty(pred, temp_c, env, tol)
+    par_loss, par_grad = parabolic_penalty(pred, temp, env, tol)
     ramp_loss, ramp_grad = ramp_penalty(pred, cfg.delta_max_mw, pairs=pairs)
     loss = mse + cfg.lambda1 * par_loss + cfg.lambda2 * ramp_loss
     grad = grad + cfg.lambda1 * par_grad + cfg.lambda2 * ramp_grad

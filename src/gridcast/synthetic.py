@@ -22,6 +22,7 @@ import datetime as dt
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -288,12 +289,14 @@ def generate(config):
 
 
 def write_dataset(config, out_dir):
-    """Generate and write load.csv, weather.csv, holidays.txt, manifest.json.
+    """Generate and write load.csv, weather.csv, holidays.txt, manifest.json
+    into out_dir, a str or Path, made if missing.
 
     ingest writes the data files; weather rows run station by station in
     config order, each over every hour. The manifest holds the config as
     asdict gives it. Returns the manifest dict.
     """
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate(config)
 

@@ -41,7 +41,6 @@ from gridcast.ingest import (
     WINDOW_HOURS,
     WX_CODES,
     AlignedFrame,
-    GapReport,
     LoadSeries,
     WeatherTable,
     format_timestamp,
@@ -249,18 +248,18 @@ def impute_linear(frame, max_gap_hours=6):
                 left = run_start - 1
                 right = run_start + run_len
                 if left < 0 or right >= vals.size:
-                    reports.append(GapReport(
-                        col_name, frame.timestamps[seg_start + run_start],
-                        run_len, "boundary"))
+                    reason = "boundary"
+                elif run_len > max_gap_hours:
+                    reason = "exceeds_max_gap"
+                else:
+                    span = right - left
+                    frac = (np.arange(1, run_len + 1)) / span
+                    vals[run_start:right] = vals[left] + (vals[right] - vals[left]) * frac
                     continue
-                if run_len > max_gap_hours:
-                    reports.append(GapReport(
-                        col_name, frame.timestamps[seg_start + run_start],
-                        run_len, "exceeds_max_gap"))
-                    continue
-                span = right - left
-                frac = (np.arange(1, run_len + 1)) / span
-                vals[run_start:right] = vals[left] + (vals[right] - vals[left]) * frac
+                reports.append({
+                    "column": col_name,
+                    "start": format_timestamp(frame.timestamps[seg_start + run_start]),
+                    "length": run_len, "reason": reason})
     return out, reports
 
 

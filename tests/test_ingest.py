@@ -296,6 +296,16 @@ class TestAlign:
         with pytest.raises(ShapeError, match="frame data"):
             ingest.AlignedFrame(ts, np.zeros((3, 12)))
 
+    @pytest.mark.parametrize("order, match", [
+        ([2, 1, 0], "timestamps not increasing at 2024-01-01T01:00:00Z"),
+        ([0, 1, 1], "duplicate timestamp 2024-01-01T01:00:00Z"),
+    ], ids=["reversed", "repeated"])
+    def test_frame_timestamps_out_of_order_name_the_timestamp(self, order, match):
+        # the frame's own check named none
+        ts = hours("2024-01-01T00:00:00", 3)[order]
+        with pytest.raises(OrderingError, match=f"^{match}$"):
+            ingest.AlignedFrame(ts, np.zeros((3, ingest.N_FEATURES)))
+
     def test_three_station_mean(self):
         load = load_series("2024-01-01T00:00:00", [40000.0])
         wx = weather_rows("2024-01-01T00:00:00", {"BKS": [10.0], "JDD": [12.0], "TME": [14.0]})
@@ -363,14 +373,14 @@ class TestImpute:
         out, reports = ingest.impute_linear(frame)
         assert out.missing[1:8, 2].all()
         assert len(reports) == 1
-        assert reports[0].reason == "exceeds_max_gap"
-        assert reports[0].length == 7
+        assert reports[0]["reason"] == "exceeds_max_gap"
+        assert reports[0]["length"] == 7
 
     def test_boundary_missing_reported_not_filled(self):
         frame = frame_with_temps([np.nan, 5.0, 6.0])
         out, reports = ingest.impute_linear(frame)
         assert out.missing[0, 2]
-        assert reports[0].reason == "boundary"
+        assert reports[0]["reason"] == "boundary"
 
     def test_entirely_missing_column_errors(self):
         frame = frame_with_temps([np.nan, np.nan, np.nan])
@@ -732,10 +742,10 @@ YEAR_SPLIT = ingest.SplitSpec(train=("2024-01-01", "2024-09-01"),
 
 
 @pytest.fixture(scope="module")
-def gappy_year(tmp_path_factory):
+def gappy_tables(tmp_path_factory):
     """A 1-year synthetic set at missing_rate 0.2 with every station's
-    weather fields blank for a 3-hour and a 10-hour run, written to CSV,
-    read back and built into a frame; also its standardizer and windows."""
+    weather fields blank for a 3-hour and a 10-hour run, written to CSV and
+    read back: (hours, load, weather, stations, holidays)."""
     cfg = synthetic.SyntheticConfig(years=1, seed=0, missing_rate=0.2)
     data = synthetic.generate(cfg)
     for values in data.station_weather.values():
@@ -747,11 +757,18 @@ def gappy_year(tmp_path_factory):
         np.repeat(np.array(cfg.stations), data.timestamps.size),
         np.tile(data.timestamps, len(cfg.stations)),
         np.concatenate([data.station_weather[name] for name in cfg.stations])))
-    frame, report = ingest.build_frame(
-        ingest.parse_load_csv(d / "load.csv"), ingest.parse_weather_csv(d / "weather.csv"),
-        cfg.stations, data.holidays)
+    return (data.timestamps, ingest.parse_load_csv(d / "load.csv"),
+            ingest.parse_weather_csv(d / "weather.csv"), cfg.stations, data.holidays)
+
+
+@pytest.fixture(scope="module")
+def gappy_year(gappy_tables):
+    """gappy_tables built into a frame: (hours, frame, report, standardizer,
+    windows)."""
+    hours_in, load, weather, stations, holidays = gappy_tables
+    frame, report = ingest.build_frame(load, weather, stations, holidays)
     standardizer = ingest.fit_standardizer(frame, YEAR_SPLIT)
-    return data.timestamps, frame, report, standardizer, ingest.make_windows(
+    return hours_in, frame, report, standardizer, ingest.make_windows(
         frame, standardizer, YEAR_SPLIT)
 
 
@@ -772,6 +789,11 @@ class TestGapPathsAtFullSize:
         rows = np.searchsorted(frame.timestamps, hours_in[SHORT_GAP])
         assert (frame.timestamps[rows] == hours_in[SHORT_GAP]).all()
         assert not np.isnan(frame.data[rows]).any()
+
+    def test_the_report_lists_the_runs_impute_linear_reports(self, gappy_tables, gappy_year):
+        _, load, weather, stations, _ = gappy_tables
+        _, reports = ingest.impute_linear(ingest.align_hourly(load, weather, stations))
+        assert gappy_year[2]["unfilled_runs"] == reports
 
     def test_the_frame_is_two_hourly_segments_each_short_of_24_lag_rows(self, gappy_year):
         hours_in, frame, report, _, _ = gappy_year
@@ -864,6 +886,13 @@ class TestWindowMemory:
                 assert not np.shares_memory(ws.inputs, std_data)
         # the long gap splits train; val, test and the 3:9 slices are views
         assert views == 5
+
+    def test_targets_share_no_memory_with_the_frame(self, gappy_year):
+        frame, windows = self.fresh_windows(gappy_year)
+        for ws in windows.values():
+            for targets in (ws.targets_mw, ws.target_timestamps, ws.target_air_temp_c):
+                assert not np.shares_memory(targets, frame.data)
+                assert not np.shares_memory(targets, frame.timestamps)
 
     def test_an_empty_selection_has_no_windows(self, gappy_year):
         _, windows = self.fresh_windows(gappy_year)

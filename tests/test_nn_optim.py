@@ -235,11 +235,12 @@ def test_checkpoint_rejects_a_directory_save_would_not_write(tmp_path, edit, mat
 @pytest.mark.parametrize("tensors, meta, match", [
     # written, then rejected by load_checkpoint
     pytest.param({1: np.ones(2)}, None, "tensor name 1 must be a str", id="int-name"),
-    # each loaded back rounded to the nearest float64
-    pytest.param({"i": np.array([2**53 + 1])}, None, "'i' holds an integer beyond 2**53",
+    # integer tensors, which float64 would round beyond 2**53
+    pytest.param({"i": np.array([2**53 + 1])}, None, "'i' has dtype int64, not float",
                  id="int64-beyond-2**53"),
     pytest.param({"u": np.array([2**64 - 1], dtype=np.uint64)}, None,
-                 "'u' holds an integer beyond 2**53", id="uint64-max"),
+                 "'u' has dtype uint64, not float", id="uint64-max"),
+    pytest.param({"b": np.array([True])}, None, "'b' has dtype bool, not float", id="bool"),
     # the imaginary part was dropped with only a ComplexWarning
     pytest.param({"z": np.array([1 + 2j])}, None, "'z' has dtype complex128", id="complex"),
     # stored as NaN

@@ -428,3 +428,67 @@ def test_loss_config_validation():
         for value in (np.nan, np.inf, True, np.True_, "1", None):
             with pytest.raises(ConfigError, match=name):
                 physics.PhysicsLossConfig(**{name: value})
+
+
+# --- batches and temperatures that are not real numbers ----------------------
+
+BATCH = np.array([10.0, 20.0, 30.0])
+TOL = flat_tolerance(400.0)
+PENALTY_ARGS = {  # valid keyword arguments of each penalty
+    "composite_loss": dict(pred_mw=BATCH, target_mw=BATCH, temp_c=BATCH,
+                           pairs=consecutive_pairs(3), env=ENV, tol=TOL,
+                           cfg=physics.PhysicsLossConfig()),
+    "parabolic_penalty": dict(pred_mw=BATCH, temp_c=BATCH, env=ENV, tol=TOL),
+    "ramp_penalty": dict(pred_mw=BATCH, delta_max=100.0, pairs=consecutive_pairs(3)),
+}
+BAD_BATCHES = {  # id -> (value, what the message says of it)
+    "text": (["a", "b", "c"], "must be an array of real numbers"),
+    "ragged": ([[1.0, 2.0], [3.0]], "must be an array of real numbers"),
+    "column": (BATCH[:, None], "vectors?, got shape"),
+    "unequal-length": (BATCH[:2], "equal-length vectors, got shape"),
+}
+
+
+def bad_batch_cases():
+    for penalty, arg in [("composite_loss", "pred_mw"), ("composite_loss", "target_mw"),
+                         ("composite_loss", "temp_c"), ("parabolic_penalty", "pred_mw"),
+                         ("parabolic_penalty", "temp_c"), ("ramp_penalty", "pred_mw")]:
+        for what, (value, match) in BAD_BATCHES.items():
+            if penalty == "ramp_penalty" and what == "unequal-length":
+                continue  # one batch: any length is its own
+            yield pytest.param(penalty, arg, value, match, id=f"{penalty}-{arg}-{what}")
+
+
+@pytest.mark.parametrize("penalty, arg, value, match", bad_batch_cases())
+def test_penalties_reject_a_bad_batch_naming_it(penalty, arg, value, match):
+    # text and ragged batches raised a raw ValueError; a (n, 1) batch into
+    # composite_loss gave a gradient of the wrong rank
+    with pytest.raises(ConfigError, match=f"{arg}.*{match}"):
+        getattr(physics, penalty)(**{**PENALTY_ARGS[penalty], arg: value})
+
+
+def test_a_nan_prediction_gives_a_nan_loss_not_an_error():
+    # values are not checked: a training step reports a non-finite loss itself
+    pred = np.array([np.nan, 20.0, 30.0])
+    loss, grad, _ = physics.composite_loss(**{**PENALTY_ARGS["composite_loss"], "pred_mw": pred})
+    assert np.isnan(loss) and np.isnan(grad[0])
+
+
+EVALUATORS = {"envelope_demand": lambda t: physics.envelope_demand(ENV, t),
+              "sigma": TOL.sigma, "epsilon": TOL.epsilon}
+
+
+@pytest.mark.parametrize("value", ["x", ["a", "b"], [[1.0], [1.0, 2.0]], {"t": 1.0}],
+                         ids=["str", "text", "ragged", "dict"])
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+def test_evaluators_reject_input_that_is_not_real(evaluator, value):
+    # each raised a raw ValueError or TypeError
+    with pytest.raises(ConfigError, match="^t_c must be an array of real numbers"):
+        EVALUATORS[evaluator](value)
+
+
+@pytest.mark.parametrize("temps", [5.0, [5.0, 25.0], [[5.0], [25.0]]], ids=["0-d", "1-d", "2-d"])
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+def test_evaluators_return_an_array_of_the_input_shape(evaluator, temps):
+    out = EVALUATORS[evaluator](temps)
+    assert np.shape(out) == np.shape(temps) and out.dtype == np.float64

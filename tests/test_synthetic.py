@@ -267,3 +267,11 @@ def test_an_events_list_is_kept_as_the_tuple_it_equals():
     from_tuple = synthetic.SyntheticConfig(years=1, seed=9, events=(event,))
     assert type(from_list.events) is tuple
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+
+def test_a_str_directory_writes_the_bytes_of_its_path(tmp_path):
+    # a str raised AttributeError: 'str' object has no attribute 'mkdir'
+    cfg = synthetic.SyntheticConfig(years=1, seed=5)
+    assert (synthetic.write_dataset(cfg, str(tmp_path / "str"))
+            == synthetic.write_dataset(cfg, tmp_path / "path"))
+    assert_same_files(tmp_path / "str", tmp_path / "path")
