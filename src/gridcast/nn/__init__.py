@@ -34,6 +34,15 @@ float64 throughout. The layer contract:
 - Layer.walk(prefix) is the one traversal of the layer tree; named_params,
   named_grads, zero_grads and state_tensors are built on it.
 - Composition is Sequential (a chain) and Residual (x + chain(x)).
+- An outermost chain's eval forward runs a batch of 64 rows or more as
+  min(workers, rows // 32) fixed contiguous row blocks, each starting at a
+  multiple of 32 rows, the first on the calling thread and the rest on a
+  module-owned thread pool, and gives the serial loop's bytes. workers is
+  the CPUs in the affinity mask, so one CPU runs the serial loop; a 32-row
+  batch split 16 + 16 gained nothing. Train mode, nested chains, smaller
+  batches and a chain whose layers have a forward set on the instance (a
+  tracer's wrapper) run the serial loop. Sequential's docstring gives the
+  measurements.
 - Each kernel exists once: one affine gradient (Dense, Conv1d and the
   attention projections; attention stores its input projections as one
   parameter Wqkv = [Wq | Wk | Wv] of shape (d_model, 3·d_model), with bias

@@ -33,7 +33,7 @@ def _check_contents(tensors, meta):
             arr = np.asarray(value)
         except ValueError as exc:  # a ragged nesting of sequences
             raise ConfigError(f"checkpoint tensor {name!r} is not an array ({exc})") from None
-        if arr.dtype.kind != "f":
+        if arr.dtype.kind != "f" or arr.dtype.itemsize > 8:  # a wider float would be rounded
             raise ConfigError(f"checkpoint tensor {name!r} has dtype {arr.dtype}, not float")
     if not isinstance(meta, dict):
         raise ConfigError(f"checkpoint meta must be a dict, got {type(meta).__name__}")
@@ -48,7 +48,8 @@ def _check_contents(tensors, meta):
 def save_checkpoint(path, tensors, meta=None):
     """Write named float arrays as float64 and a JSON meta dict. Raises
     ConfigError, before the file is opened, for a tensor name that is not a
-    str, a tensor that is not float (bool and integer ones included), or
+    str, a tensor that is not float (bool and integer ones included) or is
+    a float wider than float64, or
     meta that is not a dict JSON holds exactly (no NaN or infinity, str
     keys)."""
     meta = {} if meta is None else meta

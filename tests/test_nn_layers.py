@@ -368,15 +368,19 @@ def layer_state(model):
             for path, layer in model.walk() for attr, val in vars(layer).items()}
 
 
+@pytest.mark.parametrize("rows, workers", [(3, None), (64, 2)],
+                         ids=["3-windows", "64-windows-split-in-2"])
 @pytest.mark.parametrize("branch", ["cnn", "tr"])
-def test_inference_assigns_no_attribute(branch):
+def test_inference_assigns_no_attribute(monkeypatch, branch, rows, workers):
+    if workers is not None:
+        monkeypatch.setattr(nn.layers, "_WORKERS", workers)
     model = workloads.build_branches(0)[branch]
-    x = seeded_rng(0, "pure-x").normal(size=(8, 24, 13))
+    x = seeded_rng(0, "pure-x").normal(size=(64, 24, 13))
     # a train step first, so every backward cache exists and could be clobbered
-    model.forward(x, train=True)
+    model.forward(x[:8], train=True)
     model.backward(np.ones((8, 1)))
     before = layer_state(model)
-    model.forward(x[:3], train=False)
+    model.forward(x[:rows], train=False)
     assert layer_state(model) == before
 
 

@@ -241,6 +241,11 @@ def test_checkpoint_rejects_a_directory_save_would_not_write(tmp_path, edit, mat
     pytest.param({"u": np.array([2**64 - 1], dtype=np.uint64)}, None,
                  "'u' has dtype uint64, not float", id="uint64-max"),
     pytest.param({"b": np.array([True])}, None, "'b' has dtype bool, not float", id="bool"),
+    # rounded to float64: 1 + 2**-60 loaded back as 1.0
+    pytest.param({"l": np.array([np.longdouble(1) + 2**-60])}, None,
+                 f"'l' has dtype {np.dtype(np.longdouble)}, not float", id="longdouble",
+                 marks=pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8,
+                                          reason="np.longdouble is float64 here")),
     # the imaginary part was dropped with only a ComplexWarning
     pytest.param({"z": np.array([1 + 2j])}, None, "'z' has dtype complex128", id="complex"),
     # stored as NaN
