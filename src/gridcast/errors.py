@@ -27,7 +27,7 @@ class OrderingError(GridcastError):
 
 
 class AlignmentError(GridcastError):
-    """Load and weather series have no overlapping hours."""
+    """No station requested, none requested in the weather data, or no hour both series cover."""
 
 
 class ImputationError(GridcastError):
@@ -39,11 +39,12 @@ class CalibrationError(GridcastError):
 
 
 class StandardizerError(GridcastError):
-    """Zero-variance or NaN-holding column, or standardizer misuse."""
+    """No train rows, a zero-variance or NaN-holding column, or a value beyond float32's range."""
 
 
 class WindowError(GridcastError):
-    """Split too short to form any window, or window misalignment."""
+    """Empty or unordered split ranges, an unimputed frame, a split shorter than 25 contiguous
+    hours, or no segment longer than 24 h."""
 
 
 class ConfigError(GridcastError):
@@ -52,8 +53,8 @@ class ConfigError(GridcastError):
 
 class ShapeError(GridcastError):
     """Tensor shape incompatible with a layer or operation, a gradient dict
-    whose keys or shapes do not match its parameters', or a train-mode input
-    that is not floating point."""
+    whose keys or shapes do not match its parameters', or an input that is
+    not floating point, in train or eval mode."""
 
 
 class ArtifactError(GridcastError):

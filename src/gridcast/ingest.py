@@ -572,17 +572,15 @@ def align_hourly(load, weather, stations):
     Each field is summed on its own, one bincount over the records' hours in
     table order, so no record x field array is built.
     """
-    stations = set(stations)
+    stations = sorted(set(stations))
     if not stations:
         raise AlignmentError("need at least one station")
-    known = set(np.unique(weather.station))
-    usable = stations & known
-    if not usable:
+    records = np.flatnonzero(np.isin(weather.station, stations))
+    if not records.size:
         raise AlignmentError(
-            f"none of the requested stations {sorted(stations)} appear in the weather data")
+            f"none of the requested stations {stations} appear in the weather data")
 
     n = len(load)
-    records = np.flatnonzero(np.isin(weather.station, sorted(usable)))
     idx = np.searchsorted(load.timestamps, weather.timestamps[records])
     inside = idx < n
     inside[inside] &= load.timestamps[idx[inside]] == weather.timestamps[records[inside]]

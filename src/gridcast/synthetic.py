@@ -217,7 +217,7 @@ def generate(config):
     start_date = dt.date.fromisoformat(config.start)
     end_date = start_date.replace(year=start_date.year + config.years)
     n = (end_date - start_date).days * 24
-    timestamps = start + np.arange(n) * np.timedelta64(3600, "s")
+    timestamps = start + np.arange(n) * ingest.HOUR
 
     doy = (timestamps.astype("datetime64[D]")
            - timestamps.astype("datetime64[Y]")).astype(int)

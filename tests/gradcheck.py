@@ -4,7 +4,10 @@ import numpy as np
 
 
 def central_difference_grad(f, x, h=1e-5):
-    """Numeric gradient of scalar f at x, one central difference per element."""
+    """Numeric gradient of scalar f at x, one central difference per element.
+
+    A float64 array x is perturbed in place and each element restored after
+    its two calls, so f may read x where it lives, as a layer's parameter."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)

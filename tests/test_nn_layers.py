@@ -1,4 +1,8 @@
-"""Finite-difference checks and behavioral tests for every layer type."""
+"""Gradient checks and behavioral tests for every layer type.
+
+The layer table drives the gradient checks: one central-difference test
+runs over a row per leaf layer class (LEAF_LAYERS, which a test pins to
+every leaf class in gridcast.nn) and a row per further configuration."""
 
 import inspect
 import re
@@ -16,121 +20,57 @@ from gridcast.seeding import seeded_rng
 import workloads  # perfbench's: the branches at the benchmark's sizes
 
 
-def loss_through(layer, x, proj, train=True):
-    """Scalar loss sum(forward(x) * proj), fixed random projection."""
-    return float(np.sum(layer.forward(x, train=train) * proj))
+LEAF_LAYERS = {  # class -> (factory, input shape)
+    nn.Dense: (lambda r: nn.Dense(4, 5, r), (3, 6, 4)),
+    nn.ReLU: (lambda r: nn.ReLU(), (3, 6, 4)),
+    nn.Conv1d: (lambda r: nn.Conv1d(4, 5, 3, r), (3, 6, 4)),
+    nn.BatchNorm1d: (lambda r: nn.BatchNorm1d(4), (3, 6, 4)),
+    nn.MaxPool1d: (lambda r: nn.MaxPool1d(), (3, 7, 4)),
+    nn.GlobalAvgPool: (lambda r: nn.GlobalAvgPool(), (3, 6, 4)),
+    nn.Dropout: (lambda r: nn.Dropout(0.5, r), (3, 6, 4)),
+    nn.PositionalEncodingAdd: (lambda r: nn.PositionalEncodingAdd(6, 4), (3, 6, 4)),
+    nn.LayerNorm: (lambda r: nn.LayerNorm(4), (3, 6, 4)),
+    nn.MultiHeadSelfAttention: (lambda r: nn.MultiHeadSelfAttention(4, 2, r), (3, 6, 4)),
+}
+
+GRAD_CASES = {cls.__name__: row for cls, row in LEAF_LAYERS.items()} | {
+    "Dense-2d": (lambda r: nn.Dense(5, 4, r), (3, 5)),
+    "Conv1d-kernel-1": (lambda r: nn.Conv1d(3, 4, 1, r), (2, 6, 3)),
+    "Conv1d-kernel-5": (lambda r: nn.Conv1d(3, 4, 5, r), (2, 6, 3)),
+    "ConvBlock": (lambda r: nn.ConvBlock(3, 4, 3, r), (2, 6, 3)),
+    "EncoderBlock": (lambda r: nn.EncoderBlock(8, 2, 12, 0.1, r), (2, 4, 8)),
+}
 
 
-def input_grad_check(make_layer, x_shape, seed, h=1e-5, tol=1e-4, train=True):
-    rng = seeded_rng(seed, "gradcheck-input")
+def grad_check(make_layer, x_shape, seed):
+    """Central differences of sum(forward(x, train=True) * proj) against
+    backward, for the input and every parameter gradient. Each Dropout's
+    generator is rewound before every forward, so every forward redraws the
+    first forward's masks."""
+    rng = seeded_rng(seed, "gradcheck")
     layer = make_layer(seeded_rng(seed, "gradcheck-layer"))
-    x = rng.normal(size=x_shape)
-    y = layer.forward(x, train=train)
-    proj = rng.normal(size=y.shape)
-    layer.zero_grads()
-    analytic = layer.backward(proj)
-    numeric = central_difference_grad(lambda v: loss_through(layer, v, proj, train), x, h=h)
-    assert relative_error(analytic, numeric) < tol
+    drops = [d for _, d in layer.walk() if isinstance(d, nn.Dropout)]
+    states = [d.rng.bit_generator.state for d in drops]
 
+    def loss():
+        for d, state in zip(drops, states):
+            d.rng.bit_generator.state = state
+        return float(np.sum(layer.forward(x, train=True) * proj))
 
-def param_grad_check(make_layer, x_shape, seed, h=1e-5, tol=1e-4):
-    rng = seeded_rng(seed, "gradcheck-param")
-    layer = make_layer(seeded_rng(seed, "gradcheck-layer"))
     x = rng.normal(size=x_shape)
     proj = rng.normal(size=layer.forward(x, train=True).shape)
-
-    params = layer.named_params()
+    loss()
     layer.zero_grads()
-    layer.forward(x, train=True)
-    layer.backward(proj)
-    analytic = {k: v.copy() for k, v in layer.named_grads().items()}
-
-    for name, p in params.items():
-        def f(v, _p=p):
-            old = _p.copy()
-            _p[...] = v
-            out = loss_through(layer, x, proj, train=True)
-            _p[...] = old
-            return out
-
-        numeric = central_difference_grad(f, p.copy(), h=h)
-        err = relative_error(analytic[name], numeric)
-        assert err < tol, f"param {name}: rel err {err}"
+    analytic = {"input": layer.backward(proj), **layer.named_grads()}
+    for name, a in {"input": x, **layer.named_params()}.items():
+        err = relative_error(analytic[name], central_difference_grad(lambda _: loss(), a))
+        assert err < 1e-4, f"{name}: rel err {err}"
 
 
-SEEDS = list(range(3))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dense_grads(seed):
-    make = lambda r: nn.Dense(5, 4, r)
-    input_grad_check(make, (3, 5), seed)
-    param_grad_check(make, (3, 5), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dense_on_sequences(seed):
-    # dense must act per position on (B, T, D) tensors
-    make = lambda r: nn.Dense(4, 6, r)
-    input_grad_check(make, (2, 5, 4), seed)
-    param_grad_check(make, (2, 5, 4), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_relu_grads(seed):
-    input_grad_check(lambda r: nn.ReLU(), (4, 7), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_conv1d_grads(seed):
-    for kernel in (1, 3, 5):
-        make = lambda r: nn.Conv1d(3, 4, kernel, r)
-        input_grad_check(make, (2, 6, 3), seed)
-        param_grad_check(make, (2, 6, 3), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batchnorm_grads(seed):
-    make = lambda r: nn.BatchNorm1d(3)
-    input_grad_check(make, (4, 5, 3), seed)
-    param_grad_check(make, (4, 5, 3), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_maxpool_grads(seed):
-    input_grad_check(lambda r: nn.MaxPool1d(), (3, 8, 2), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_gap_grads(seed):
-    input_grad_check(lambda r: nn.GlobalAvgPool(), (3, 6, 4), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_layernorm_grads(seed):
-    make = lambda r: nn.LayerNorm(6)
-    input_grad_check(make, (3, 4, 6), seed)
-    param_grad_check(make, (3, 4, 6), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_attention_grads(seed):
-    make = lambda r: nn.MultiHeadSelfAttention(8, 2, r)
-    input_grad_check(make, (2, 4, 8), seed)
-    param_grad_check(make, (2, 4, 8), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_encoder_block_grads(seed):
-    make = lambda r: nn.EncoderBlock(8, 2, 12, 0.0, r)
-    input_grad_check(make, (2, 4, 8), seed)
-    param_grad_check(make, (2, 4, 8), seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_conv_block_grads(seed):
-    make = lambda r: nn.ConvBlock(3, 4, 3, r)
-    input_grad_check(make, (2, 6, 3), seed)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make, shape", GRAD_CASES.values(), ids=list(GRAD_CASES))
+def test_backward_matches_central_differences(make, shape, seed):
+    grad_check(make, shape, seed)
 
 
 def test_conv_block_identity_kernel_reduces_to_maxpool():
@@ -511,20 +451,6 @@ def test_float32_inference_pools_to_float64_near_float64(branch):
 
 
 # --- a layer writes only to arrays it allocated ------------------------------
-
-LEAF_LAYERS = {  # class -> (factory, input shape)
-    nn.Dense: (lambda r: nn.Dense(4, 5, r), (3, 6, 4)),
-    nn.ReLU: (lambda r: nn.ReLU(), (3, 6, 4)),
-    nn.Conv1d: (lambda r: nn.Conv1d(4, 5, 3, r), (3, 6, 4)),
-    nn.BatchNorm1d: (lambda r: nn.BatchNorm1d(4), (3, 6, 4)),
-    nn.MaxPool1d: (lambda r: nn.MaxPool1d(), (3, 7, 4)),
-    nn.GlobalAvgPool: (lambda r: nn.GlobalAvgPool(), (3, 6, 4)),
-    nn.Dropout: (lambda r: nn.Dropout(0.5, r), (3, 6, 4)),
-    nn.PositionalEncodingAdd: (lambda r: nn.PositionalEncodingAdd(6, 4), (3, 6, 4)),
-    nn.LayerNorm: (lambda r: nn.LayerNorm(4), (3, 6, 4)),
-    nn.MultiHeadSelfAttention: (lambda r: nn.MultiHeadSelfAttention(4, 2, r), (3, 6, 4)),
-}
-
 
 def models_and_inputs():
     rng = seeded_rng(15, "inputs-alone")
